@@ -59,8 +59,10 @@ void ActiveQueryRegistry::Unregister(uint64_t id) {
 }
 
 std::vector<ActiveQueryInfo> ActiveQueryRegistry::Snapshot() const {
-  auto now = std::chrono::steady_clock::now();
   MutexLock lock(&mu_);
+  // Read the clock under the lock: a Register between an earlier read and
+  // the lock would carry a start after `now` (a negative elapsed time).
+  auto now = std::chrono::steady_clock::now();
   std::vector<ActiveQueryInfo> out;
   out.reserve(entries_.size());
   for (const auto& [id, e] : entries_) {

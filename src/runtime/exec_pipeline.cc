@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <optional>
 #include <thread>
@@ -627,6 +628,32 @@ class HashNestIter : public RowIterator {
   size_t pos_ = 0;
 };
 
+// Runs a kRangeNestJoin through its HashNest(NLOuterJoin) expansion (the
+// Env engine is the reference implementation and keeps no second copy of
+// the prefix fold). Owns the expanded operators its iterators reference.
+class ExpandedRangeNestIter : public RowIterator {
+ public:
+  ExpandedRangeNestIter(const PhysOp& op, std::unique_ptr<RowIterator> left,
+                        std::unique_ptr<RowIterator> right, ExprEvaluator* ev,
+                        OperatorStats* stats)
+      : nest_op_(ExpandRangeNestJoin(op)) {
+    auto join = std::make_unique<NLJoinIter>(*nest_op_->left, std::move(left),
+                                             std::move(right), ev);
+    join->set_stats(stats);
+    auto nest = std::make_unique<HashNestIter>(*nest_op_, std::move(join), ev);
+    nest->set_stats(stats);
+    nest_ = std::move(nest);
+  }
+
+  void Open() override { nest_->Open(); }
+  bool Next(Env* out) override { return nest_->Next(out); }
+  void Close() override { nest_->Close(); }
+
+ private:
+  PhysPtr nest_op_;  // declared first: outlives nest_
+  std::unique_ptr<RowIterator> nest_;
+};
+
 // Builds the Env iterator tree with every operator wrapped in a profiling
 // decorator. Ids are assigned in pre-order (left subtree before right), the
 // exact numbering CompileSlotPlan uses, so Env and slot profiles of the same
@@ -684,6 +711,15 @@ std::unique_ptr<RowIterator> MakeProfiledEnvIter(const PhysPtr& op,
           *op, MakeProfiledEnvIter(op->left, ev, prof, next_id), ev);
       nest->set_stats(stats);
       inner = std::move(nest);
+      break;
+    }
+    case PhysKind::kRangeNestJoin: {
+      // The expansion profiles as this one operator, so child ids still
+      // line up with the slot plan's.
+      auto left = MakeProfiledEnvIter(op->left, ev, prof, next_id);
+      auto right = MakeProfiledEnvIter(op->right, ev, prof, next_id);
+      inner = std::make_unique<ExpandedRangeNestIter>(
+          *op, std::move(left), std::move(right), ev, stats);
       break;
     }
     case PhysKind::kReduce:
@@ -773,11 +809,25 @@ using BufRow = std::vector<Value>;
 // Hash-join build table over span copies.
 using JoinTable = std::unordered_map<Value, std::vector<BufRow>, ValueHash>;
 
+// Build side of a kRangeNestJoin (docs/EXECUTOR.md, "RangeNestJoin"): the
+// contributing right rows' operands in ascending Value::Compare order, and
+// the monoid result after each row — a prefix fold for `>`/`>=` (a probe
+// matches the keys below it), a suffix fold for `<`/`<=` (the keys above).
+struct RangeTable {
+  std::vector<std::pair<Value, Value>> rows;  // (key, head)
+  std::vector<Value> folds;  // folds[i]: rows [0, i] or [i, n); sorted only
+  Value zero;                // the fold of no rows
+  // False when a NaN makes Value::Compare no strict weak order: rows stay
+  // in build order and every probe scans them the way the NL join would.
+  bool sorted = true;
+};
+
 // Build-side tables prebuilt once and shared read-only by all workers,
 // keyed by the owning operator's SlotOp::id.
 struct SharedTables {
   std::unordered_map<int, JoinTable> join_tables;
   std::unordered_map<int, std::vector<BufRow>> buffers;
+  std::unordered_map<int, RangeTable> range_tables;
   // (op class, bytes) charged per prebuilt table. Entries are pushed before
   // the rows charge against them, so an over-budget throw mid-build still
   // leaves every applied byte recorded; the parallel executor's scope guard
@@ -911,6 +961,73 @@ void AccumulateNestRow(const SlotOp& nest, FrameEvaluator* fev, Frame& frame,
   }
 }
 
+bool HasNaN(const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kReal:
+      return std::isnan(v.AsReal());
+    case Value::Kind::kTuple:
+      for (const auto& [name, f] : v.AsTuple()) {
+        if (HasNaN(f)) return true;
+      }
+      return false;
+    case Value::Kind::kSet:
+    case Value::Kind::kBag:
+    case Value::Kind::kList:
+      for (const Value& e : v.AsElems()) {
+        if (HasNaN(e)) return true;
+      }
+      return false;
+    default:
+      return false;
+  }
+}
+
+// The fold for a left row whose operand is `l`; points into the table or
+// at *scratch.
+const Value* ProbeRangeTable(const RangeTable& t, const SlotOp& op,
+                             const Value& l, Value* scratch) {
+  if (l.is_null()) return &t.zero;
+  const auto& rows = t.rows;
+  // A NaN inside a composite operand can make the comparison non-monotone
+  // along the sorted keys, so such a probe scans too.
+  if (!t.sorted || HasNaN(l)) {
+    Accumulator acc(op.monoid);
+    for (const auto& [key, head] : rows) {
+      if (ApplyCompareOp(op.range_op, l, key).AsBool()) acc.Add(head);
+    }
+    *scratch = acc.Finish();
+    return scratch;
+  }
+  // First row whose key is >= l (lower) or > l (upper).
+  auto lower = [&] {
+    return static_cast<size_t>(
+        std::lower_bound(rows.begin(), rows.end(), l,
+                         [](const std::pair<Value, Value>& r, const Value& v) {
+                           return Value::Compare(r.first, v) < 0;
+                         }) -
+        rows.begin());
+  };
+  auto upper = [&] {
+    return static_cast<size_t>(
+        std::upper_bound(rows.begin(), rows.end(), l,
+                         [](const Value& v, const std::pair<Value, Value>& r) {
+                           return Value::Compare(v, r.first) < 0;
+                         }) -
+        rows.begin());
+  };
+  switch (op.range_op) {
+    case BinOpKind::kLt:  // keys > l: the suffix after the ties
+    case BinOpKind::kLe: {  // keys >= l: the suffix from the ties
+      size_t i = op.range_op == BinOpKind::kLt ? upper() : lower();
+      return i == rows.size() ? &t.zero : &t.folds[i];
+    }
+    default: {  // kGt: keys < l; kGe: keys <= l — a prefix
+      size_t k = op.range_op == BinOpKind::kGt ? lower() : upper();
+      return k == 0 ? &t.zero : &t.folds[k - 1];
+    }
+  }
+}
+
 // Iterators communicate through the shared per-thread frame: Next() writes
 // the operator's output slots and returns whether a row was produced.
 class FrameIter {
@@ -920,6 +1037,64 @@ class FrameIter {
   virtual bool Next() = 0;
   virtual void Close() {}
 };
+
+// Drains `right` into *t: one (key, head) per right row that can contribute
+// — not padded, non-NULL operand (it never compares true), non-NULL head
+// (Accumulator skips it) — then sorts and folds. Bytes are recorded in
+// *charged before each Charge, so an over-budget throw leaves them
+// releasable by the caller. Returns the rows drained.
+uint64_t BuildRangeTable(const SlotOp& op, FrameIter* right,
+                         FrameEvaluator* fev, Frame& frame, bool sized,
+                         RangeTable* t, size_t* charged) {
+  const int cls = static_cast<int>(PhysKind::kRangeNestJoin);
+  uint64_t drained = 0;
+  right->Open();
+  while (right->Next()) {
+    PollCancel(fev->cancel());
+    ++drained;
+    bool padded = false;
+    for (int s : op.null_slots) padded = padded || frame[s].is_null();
+    if (padded) continue;
+    Value key = fev->Eval(*op.build_keys[0], frame);
+    if (key.is_null()) continue;
+    Value head = fev->Eval(*op.head, frame);
+    if (head.is_null()) continue;
+    if (sized) {
+      // The head is held twice: as itself and as its row's fold.
+      size_t b = EstimateValueBytes(key) + 2 * EstimateValueBytes(head);
+      *charged += b;
+      fev->mem().Charge(cls, b);
+    }
+    t->rows.emplace_back(std::move(key), std::move(head));
+  }
+  right->Close();
+
+  t->zero = Accumulator(op.monoid).Finish();
+  for (const auto& [key, head] : t->rows) {
+    if (HasNaN(key) || HasNaN(head)) {
+      t->sorted = false;
+      return drained;
+    }
+  }
+  std::stable_sort(t->rows.begin(), t->rows.end(),
+                   [](const auto& a, const auto& b) {
+                     return Value::Compare(a.first, b.first) < 0;
+                   });
+  // The running result after each row. Accumulator is exact and
+  // commutative for the eligible monoids, so folding in key order gives
+  // what the nest computes in stream order.
+  const size_t n = t->rows.size();
+  t->folds.resize(n);
+  const bool suffix = op.range_op == BinOpKind::kLt ||
+                      op.range_op == BinOpKind::kLe;
+  Accumulator acc(op.monoid);
+  for (size_t j = 0; j < n; ++j) {
+    size_t i = suffix ? n - 1 - j : j;
+    acc.Add(t->rows[i].second);
+    t->folds[i] = Accumulator(acc).Finish();
+  }
+  return drained;
+}
 
 // Counting/timing decorator around any frame iterator.
 class FProfiledIter : public FrameIter {
@@ -1397,6 +1572,75 @@ class FHashNestIter : public FrameIter {
   size_t pos_ = 0;
 };
 
+// Streams the left child and writes each left row's fold over its matching
+// right rows, read off a RangeTable built from the right child on Open (or
+// injected prebuilt by the parallel executor, in which case right_ is null).
+class FRangeNestJoinIter : public FrameIter {
+ public:
+  FRangeNestJoinIter(const SlotOp& op, std::unique_ptr<FrameIter> left,
+                     std::unique_ptr<FrameIter> right, FrameEvaluator* fev,
+                     Frame* frame, const RangeTable* shared_table)
+      : op_(op), left_(std::move(left)), right_(std::move(right)), fev_(fev),
+        frame_(frame), shared_table_(shared_table) {}
+
+  ~FRangeNestJoinIter() override { ReleaseCharge(); }
+
+  void set_stats(OperatorStats* s) { stats_ = s; }
+
+  void Open() override {
+    ReleaseCharge();
+    if (shared_table_ != nullptr) {
+      table_ = shared_table_;  // prebuilt: the parallel executor owns the charge
+    } else {
+      own_table_ = RangeTable{};
+      const bool sized = fev_->mem().armed() || stats_ != nullptr;
+      uint64_t drained = BuildRangeTable(op_, right_.get(), fev_, *frame_,
+                                         sized, &own_table_, &charged_);
+      if (stats_) {
+        stats_->build_rows += drained;
+        stats_->mem_bytes += charged_;
+      }
+      table_ = &own_table_;
+    }
+    left_->Open();
+  }
+
+  bool Next() override {
+    if (!left_->Next()) return false;
+    const Value* fold = &table_->zero;
+    Value scratch, fold_scratch;
+    if (fev_->EvalPred(*op_.pred, *frame_)) {
+      const Value* l = fev_->EvalPtr(*op_.probe_keys[0], *frame_, &scratch);
+      fold = ProbeRangeTable(*table_, op_, *l, &fold_scratch);
+    }
+    (*frame_)[op_.var_slot] = *fold;
+    return true;
+  }
+  void Close() override {
+    left_->Close();
+    own_table_ = RangeTable{};
+    ReleaseCharge();
+  }
+
+ private:
+  void ReleaseCharge() {
+    if (charged_ > 0) {
+      fev_->mem().Release(static_cast<int>(op_.kind), charged_);
+      charged_ = 0;
+    }
+  }
+
+  const SlotOp& op_;
+  std::unique_ptr<FrameIter> left_, right_;
+  FrameEvaluator* fev_;
+  Frame* frame_;
+  OperatorStats* stats_ = nullptr;
+  size_t charged_ = 0;
+  const RangeTable* shared_table_;
+  RangeTable own_table_;
+  const RangeTable* table_ = nullptr;
+};
+
 // Construction context: the per-thread frame/evaluator, plus the parallel
 // executor's injections (shared build tables, the morsel-ranged driver scan,
 // pre-merged nest groups for the serial tail).
@@ -1476,6 +1720,20 @@ std::unique_ptr<FrameIter> MakeFrameIterator(const SlotOpPtr& op,
       auto join = std::make_unique<FHashJoinIter>(*op, std::move(left),
                                                   std::move(right), ctx.fev,
                                                   ctx.frame, shared_table);
+      join->set_stats(stats);
+      out = std::move(join);
+      break;
+    }
+    case PhysKind::kRangeNestJoin: {
+      const RangeTable* shared_table = nullptr;
+      if (ctx.shared != nullptr) {
+        auto it = ctx.shared->range_tables.find(op->id);
+        if (it != ctx.shared->range_tables.end()) shared_table = &it->second;
+      }
+      auto right = shared_table ? nullptr : MakeFrameIterator(op->right, ctx);
+      auto join = std::make_unique<FRangeNestJoinIter>(
+          *op, MakeFrameIterator(op->left, ctx), std::move(right), ctx.fev,
+          ctx.frame, shared_table);
       join->set_stats(stats);
       out = std::move(join);
       break;
@@ -1597,6 +1855,7 @@ SpineInfo AnalyzeSpine(const SlotOpPtr& root) {
       case PhysKind::kOuterUnnest:
       case PhysKind::kNLJoin:
       case PhysKind::kNLOuterJoin:
+      case PhysKind::kRangeNestJoin:
         cur = cur->left;
         break;
       case PhysKind::kHashJoin:
@@ -1705,6 +1964,28 @@ void PrebuildSpineTables(const SlotOpPtr& sub_root, const Database& db,
         }
         shared->join_tables.emplace(cur->id, std::move(table));
         cur = cur->build_is_left ? cur->right : cur->left;
+        break;
+      }
+      case PhysKind::kRangeNestJoin: {
+        FrameExecCtx ctx;
+        ctx.fev = &fev;
+        ctx.frame = &frame;
+        ctx.profiler = prof;
+        auto it = MakeFrameIterator(cur->right, ctx);
+        RangeTable table;
+        const bool sized = fev.mem().armed() || prof != nullptr;
+        shared->charges.emplace_back(static_cast<int>(cur->kind), 0);
+        uint64_t drained =
+            BuildRangeTable(*cur, it.get(), &fev, frame, sized, &table,
+                            &shared->charges.back().second);
+        if (prof) {
+          OperatorStats* s = prof->Register(
+              cur->id, cur->kind, ProfLabel(cur->kind, cur->extent));
+          s->build_rows += drained;
+          s->mem_bytes += shared->charges.back().second;
+        }
+        shared->range_tables.emplace(cur->id, std::move(table));
+        cur = cur->left;
         break;
       }
       default:  // the driver scan
@@ -2265,6 +2546,10 @@ std::unique_ptr<RowIterator> MakeIterator(const PhysPtr& op, ExprEvaluator* ev) 
                                             MakeIterator(op->right, ev), ev);
     case PhysKind::kHashNest:
       return std::make_unique<HashNestIter>(*op, MakeIterator(op->left, ev), ev);
+    case PhysKind::kRangeNestJoin:
+      return std::make_unique<ExpandedRangeNestIter>(
+          *op, MakeIterator(op->left, ev), MakeIterator(op->right, ev), ev,
+          nullptr);
     case PhysKind::kReduce:
       throw InternalError("reduce is driven by ExecutePipelined, not pulled");
   }

@@ -110,6 +110,10 @@ struct JoinKeys {
   bool hashable() const { return !left_keys.empty(); }
 };
 
+/// True if every free variable of `e` is in `vars`. A constant passes for
+/// any `vars`; an extent name counts as a variable outside `vars`.
+bool ReadsOnly(const ExprPtr& e, const std::vector<std::string>& vars);
+
 /// Splits `pred` into hash keys and a residual with respect to the variable
 /// sets produced by the two join inputs.
 JoinKeys ExtractEquiKeys(const ExprPtr& pred,
@@ -132,11 +136,11 @@ class Database;  // fwd
 /// fills *out and returns true.
 bool MatchIndexScan(const AlgOp& scan, const Database& db, IndexMatch* out);
 
-/// Renders the plan annotated with the physical algorithm each join would
-/// use under `options` (HashJoin / NLJoin / HashOuterJoin / ...). With a
-/// database, scans over indexed attributes show as IndexScan.
+/// The physical plan PlanPhysical makes for `plan` over `db` under
+/// `options`, rendered by PrintPhysicalPlan: the operators that actually run
+/// (HashJoin / NLOuterJoin / RangeNestJoin / IndexScan / ...).
 std::string ExplainPhysical(const AlgPtr& plan, const PhysicalOptions& options,
-                            const Database* db = nullptr);
+                            const Database& db);
 
 }  // namespace ldb
 

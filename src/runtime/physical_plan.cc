@@ -1,9 +1,11 @@
 #include "src/runtime/physical_plan.h"
 
+#include <set>
 #include <sstream>
 
 #include "src/core/cost.h"
 #include "src/core/pretty.h"
+#include "src/core/typecheck.h"
 #include "src/runtime/error.h"
 
 namespace ldb {
@@ -15,6 +17,70 @@ std::shared_ptr<PhysOp> New(PhysKind k) {
   op->kind = k;
   op->pred = Expr::True();
   return op;
+}
+
+// True if evaluating `e` can raise an EvalError on well-typed input. The
+// range nest-join evaluates its operands and head on every row, where the
+// nested-loop plan evaluates them only on the pairs it visits, so an
+// expression that can fail would make the two plans disagree.
+bool MayRaise(const ExprPtr& e) {
+  if (!e) return false;
+  switch (e->kind) {
+    case ExprKind::kComp:
+    case ExprKind::kLambda:
+    case ExprKind::kMerge:
+      return true;
+    case ExprKind::kApply:
+      if (e->a->kind != ExprKind::kLambda) return true;
+      return MayRaise(e->a->a) || MayRaise(e->b);
+    case ExprKind::kBinOp:
+      if (e->bin_op == BinOpKind::kDiv || e->bin_op == BinOpKind::kMod) {
+        return true;
+      }
+      break;
+    default:
+      break;
+  }
+  for (const auto& [name, f] : e->fields) {
+    if (MayRaise(f)) return true;
+  }
+  return MayRaise(e->a) || MayRaise(e->b) || MayRaise(e->c);
+}
+
+// Monoids whose fold over a sorted prefix equals the fold in stream order:
+// Accumulator is exact and commutative for these (ExactSum for real sums).
+bool RangeFoldMonoid(MonoidKind m) {
+  switch (m) {
+    case MonoidKind::kMax:
+    case MonoidKind::kMin:
+    case MonoidKind::kSome:
+    case MonoidKind::kAll:
+    case MonoidKind::kSum:
+    case MonoidKind::kAvg:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool IsRangeOp(BinOpKind op) {
+  return op == BinOpKind::kLt || op == BinOpKind::kLe ||
+         op == BinOpKind::kGt || op == BinOpKind::kGe;
+}
+
+// `a op b` == `b Mirror(op) a`.
+BinOpKind Mirror(BinOpKind op) {
+  switch (op) {
+    case BinOpKind::kLt: return BinOpKind::kGt;
+    case BinOpKind::kLe: return BinOpKind::kGe;
+    case BinOpKind::kGt: return BinOpKind::kLt;
+    case BinOpKind::kGe: return BinOpKind::kLe;
+    default: return op;
+  }
+}
+
+bool Unique(const std::vector<std::string>& vars) {
+  return std::set<std::string>(vars.begin(), vars.end()).size() == vars.size();
 }
 
 class Planner {
@@ -65,6 +131,7 @@ class Planner {
         return out;
       }
       case AlgKind::kNest: {
+        if (PhysPtr range = PlanRangeNest(*op)) return range;
         auto out = New(PhysKind::kHashNest);
         out->left = Plan(op->left);
         out->monoid = op->monoid;
@@ -140,6 +207,125 @@ class Planner {
     return out;
   }
 
+  // Nest(OuterJoin) over a single inequality `L θ R` becomes a
+  // kRangeNestJoin (docs/EXECUTOR.md, "RangeNestJoin"); null when any
+  // eligibility condition fails, leaving HashNest(NLOuterJoin).
+  PhysPtr PlanRangeNest(const AlgOp& nest) {
+    const AlgPtr& join = nest.left;
+    if (join->kind != AlgKind::kOuterJoin || !RangeFoldMonoid(nest.monoid)) {
+      return nullptr;
+    }
+    std::vector<std::string> lvars = OutputVars(join->left);
+    std::vector<std::string> rvars = OutputVars(join->right);
+    if (options_.use_hash_joins &&
+        ExtractEquiKeys(join->pred, lvars, rvars).hashable()) {
+      return nullptr;  // HashOuterJoin territory
+    }
+    std::vector<std::string> all = lvars;
+    all.insert(all.end(), rvars.begin(), rvars.end());
+    if (!Unique(all)) return nullptr;
+    // Groups are exactly the left rows, and padding is the right side.
+    std::set<std::string> groups;
+    for (const auto& [name, key] : nest.group_by) {
+      if (key->kind != ExprKind::kVar || key->name != name) return nullptr;
+      groups.insert(name);
+    }
+    if (groups != std::set<std::string>(lvars.begin(), lvars.end()) ||
+        nest.group_by.size() != lvars.size()) {
+      return nullptr;
+    }
+    if (std::set<std::string>(nest.null_vars.begin(), nest.null_vars.end()) !=
+        std::set<std::string>(rvars.begin(), rvars.end())) {
+      return nullptr;
+    }
+    if (!ReadsOnly(nest.head, rvars) || !ReadsOnly(nest.pred, rvars) ||
+        MayRaise(nest.head) || MayRaise(nest.pred)) {
+      return nullptr;
+    }
+    ExprPtr lhs, rhs;
+    BinOpKind range_op = BinOpKind::kLt;
+    std::vector<ExprPtr> left_only;
+    for (const ExprPtr& c : SplitConjuncts(join->pred)) {
+      if (MayRaise(c)) return nullptr;
+      if (ReadsOnly(c, lvars)) {
+        left_only.push_back(c);
+        continue;
+      }
+      if (lhs || c->kind != ExprKind::kBinOp || !IsRangeOp(c->bin_op)) {
+        return nullptr;
+      }
+      if (ReadsOnly(c->a, lvars) && ReadsOnly(c->b, rvars)) {
+        lhs = c->a;
+        rhs = c->b;
+        range_op = c->bin_op;
+      } else if (ReadsOnly(c->b, lvars) && ReadsOnly(c->a, rvars)) {
+        lhs = c->b;
+        rhs = c->a;
+        range_op = Mirror(c->bin_op);
+      } else {
+        return nullptr;
+      }
+    }
+    if (!lhs || !DistinctRows(join->left)) return nullptr;
+
+    auto out = New(PhysKind::kRangeNestJoin);
+    out->left = Plan(join->left);
+    PhysPtr right = Plan(join->right);
+    if (!nest.pred->IsTrueLiteral()) {
+      // A right row failing the nest predicate contributes nothing, exactly
+      // as if it had never matched: filter it out of the build.
+      auto filter = New(PhysKind::kFilter);
+      filter->left = right;
+      filter->pred = nest.pred;
+      right = filter;
+    }
+    out->right = right;
+    out->probe_keys = {lhs};
+    out->build_keys = {rhs};
+    out->range_op = range_op;
+    out->pred = MakeConjunction(left_only);
+    out->monoid = nest.monoid;
+    out->head = nest.head;
+    out->var = nest.var;
+    out->group_by = nest.group_by;
+    out->null_vars = nest.null_vars;
+    out->pad_vars = rvars;
+    return out;
+  }
+
+  // True if `op` provably emits rows that are pairwise distinct on its
+  // output variables: HashNest merges equal left rows into one group, the
+  // range nest-join emits one row per left row.
+  bool DistinctRows(const AlgPtr& op) {
+    switch (op->kind) {
+      case AlgKind::kUnit:
+      case AlgKind::kScan:  // extents hold distinct object references
+      case AlgKind::kNest:  // one row per distinct group key
+        return true;
+      case AlgKind::kSelect:
+        return DistinctRows(op->left);
+      case AlgKind::kJoin:
+      case AlgKind::kOuterJoin:
+        return DistinctRows(op->left) && DistinctRows(op->right);
+      case AlgKind::kUnnest:
+      case AlgKind::kOuterUnnest:
+        return DistinctRows(op->left) && IsSetTyped(op->path, op->left);
+      case AlgKind::kReduce:
+        return false;
+    }
+    return false;
+  }
+
+  bool IsSetTyped(const ExprPtr& path, const AlgPtr& input) {
+    try {
+      TypePtr t =
+          TypeCheck(path, db_.schema(), PlanOutputEnv(input, db_.schema()));
+      return t->kind() == Type::Kind::kSet;
+    } catch (const Error&) {
+      return false;
+    }
+  }
+
   // A statistics peek for build-side choice: actual extent sizes where
   // visible, otherwise a neutral constant.
   double RoughCard(const AlgPtr& op) {
@@ -171,6 +357,7 @@ const char* PhysKindName(PhysKind kind) {
     case PhysKind::kOuterUnnest:   return "OuterUnnest";
     case PhysKind::kHashNest:      return "HashNest";
     case PhysKind::kReduce:        return "Reduce";
+    case PhysKind::kRangeNestJoin: return "RangeNestJoin";
   }
   return "?";
 }
@@ -229,8 +416,34 @@ std::string DescribePhysOp(const PhysOp& op) {
       os << "Reduce[" << MonoidName(op.monoid) << '/' << PrintExpr(op.head)
          << pred_suffix() << "]";
       break;
+    case PhysKind::kRangeNestJoin:
+      os << "RangeNestJoin[" << MonoidName(op.monoid) << '/'
+         << PrintExpr(op.head) << " -> " << op.var << " on "
+         << PrintExpr(Expr::Bin(op.range_op, op.probe_keys[0],
+                                op.build_keys[0]))
+         << pred_suffix() << "]";
+      break;
   }
   return os.str();
+}
+
+PhysPtr ExpandRangeNestJoin(const PhysOp& op) {
+  LDB_INTERNAL_CHECK(op.kind == PhysKind::kRangeNestJoin,
+                     "not a range nest-join");
+  auto join = New(PhysKind::kNLOuterJoin);
+  join->left = op.left;
+  join->right = op.right;
+  join->pred = MakeConjunction(
+      {Expr::Bin(op.range_op, op.probe_keys[0], op.build_keys[0]), op.pred});
+  join->pad_vars = op.pad_vars;
+  auto nest = New(PhysKind::kHashNest);
+  nest->left = join;
+  nest->monoid = op.monoid;
+  nest->head = op.head;
+  nest->var = op.var;
+  nest->group_by = op.group_by;
+  nest->null_vars = op.null_vars;
+  return nest;
 }
 
 PhysPtr PlanPhysical(const AlgPtr& plan, const Database& db,

@@ -44,6 +44,7 @@ enum class PhysKind {
   kOuterUnnest,    ///< per-row expansion with NULL padding
   kHashNest,       ///< blocking hash grouping (the Γ operator)
   kReduce,         ///< root fold, with quantifier short-circuit
+  kRangeNestJoin,  ///< Γ(=⋈) over one inequality: sorted prefix fold
 };
 
 /// One physical operator. Field use mirrors AlgOp, plus the physical
@@ -74,6 +75,14 @@ struct PhysOp {
 
   // padding variables for outer joins (the build/buffered side's variables)
   std::vector<std::string> pad_vars;
+
+  // kRangeNestJoin: a Nest directly over an OuterJoin whose predicate is
+  // `probe_keys[0] range_op build_keys[0]` (left operand first) plus the
+  // left-only conjuncts in `pred`. The nest fields (monoid, head, var,
+  // group_by = identity over the left variables, null_vars = pad_vars =
+  // the right variables) keep their HashNest meaning, so the operator can
+  // be expanded back into HashNest(NLOuterJoin) (ExpandRangeNestJoin).
+  BinOpKind range_op = BinOpKind::kLt;
 };
 
 /// Translates a logical plan into a physical one, making all algorithm
@@ -81,6 +90,10 @@ struct PhysOp {
 /// must be Reduce-rooted (as produced by the unnesting algorithm).
 PhysPtr PlanPhysical(const AlgPtr& plan, const Database& db,
                      const PhysicalOptions& options = {});
+
+/// The HashNest(NLOuterJoin) pair a kRangeNestJoin replaces; results of
+/// the two forms are identical.
+PhysPtr ExpandRangeNestJoin(const PhysOp& op);
 
 /// Operator-kind mnemonic ("TableScan", "HashJoin", ...).
 const char* PhysKindName(PhysKind kind);

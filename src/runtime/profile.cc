@@ -229,6 +229,7 @@ PhysKind KindFromName(const std::string& name) {
       {"OuterUnnest", PhysKind::kOuterUnnest},
       {"HashNest", PhysKind::kHashNest},
       {"Reduce", PhysKind::kReduce},
+      {"RangeNestJoin", PhysKind::kRangeNestJoin},
   };
   for (const auto& [n, k] : kTable) {
     if (name == n) return k;

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -106,7 +107,10 @@ void WriteValue(std::ostream& os, const Value& v) {
 
 class Reader {
  public:
-  explicit Reader(std::istream& is) : is_(is) {}
+  /// `size`, when known (>= 0), is the input's length: it bounds every
+  /// count, since each element, field or character takes at least a byte.
+  explicit Reader(std::istream& is, std::streamoff size = -1)
+      : is_(is), size_(size) {}
 
   char GetChar() {
     int c = is_.get();
@@ -123,7 +127,7 @@ class Reader {
   }
 
   int64_t ReadInt() {
-    int64_t out = 0;
+    uint64_t magnitude = 0;
     bool neg = false;
     int c = is_.peek();
     if (c == '-') {
@@ -132,16 +136,38 @@ class Reader {
       c = is_.peek();
     }
     if (c < '0' || c > '9') throw ParseError("dump: expected integer");
+    // The negative range reaches one further than the positive one, so
+    // INT64_MIN still parses.
+    const uint64_t limit =
+        static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) + neg;
     while (c >= '0' && c <= '9') {
-      out = out * 10 + (c - '0');
+      const uint64_t digit = static_cast<uint64_t>(c - '0');
+      if (magnitude > (limit - digit) / 10) {
+        throw ParseError("dump: integer out of range");
+      }
+      magnitude = magnitude * 10 + digit;
       is_.get();
       c = is_.peek();
     }
-    return neg ? -out : out;
+    // Negate in unsigned arithmetic: -INT64_MIN would overflow int64_t.
+    return static_cast<int64_t>(neg ? 0 - magnitude : magnitude);
+  }
+
+  // A count of elements, fields or bytes still to read: non-negative and
+  // no larger than the bytes left in the input, so a hostile count cannot
+  // reserve memory the input could never fill.
+  int64_t ReadCount() {
+    int64_t n = ReadInt();
+    if (n < 0) throw ParseError("dump: negative count");
+    if (size_ >= 0 && n > size_ - static_cast<std::streamoff>(is_.tellg())) {
+      throw ParseError("dump: count " + std::to_string(n) +
+                       " exceeds the remaining input");
+    }
+    return n;
   }
 
   std::string ReadString() {
-    int64_t len = ReadInt();
+    int64_t len = ReadCount();
     Expect(':');
     std::string out(static_cast<size_t>(len), '\0');
     is_.read(out.data(), len);
@@ -185,7 +211,7 @@ class Reader {
         return Type::List(elem);
       }
       case 'T': {
-        int64_t n = ReadInt();
+        int64_t n = ReadCount();
         Expect('(');
         std::vector<std::pair<std::string, TypePtr>> fields;
         for (int64_t i = 0; i < n; ++i) {
@@ -217,7 +243,7 @@ class Reader {
       }
       case 's': return Value::Str(ReadString());
       case 't': {
-        int64_t n = ReadInt();
+        int64_t n = ReadCount();
         Expect('(');
         Fields fields;
         for (int64_t i = 0; i < n; ++i) {
@@ -230,7 +256,7 @@ class Reader {
       case 'e':
       case 'g':
       case 'l': {
-        int64_t n = ReadInt();
+        int64_t n = ReadCount();
         Expect('(');
         Elems elems;
         elems.reserve(static_cast<size_t>(n));
@@ -271,6 +297,7 @@ class Reader {
 
  private:
   std::istream& is_;
+  std::streamoff size_;
 };
 
 }  // namespace
@@ -391,7 +418,7 @@ std::string ValueToText(const Value& v) {
 
 Value ValueFromText(const std::string& text) {
   std::istringstream is(text);
-  Reader r(is);
+  Reader r(is, static_cast<std::streamoff>(text.size()));
   Value v = r.ReadValue();
   if (is.peek() != EOF) {
     throw ParseError("value: trailing bytes after a complete value");

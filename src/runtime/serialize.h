@@ -51,7 +51,8 @@ Database LoadDatabaseFromString(const std::string& dump);
 std::string ValueToText(const Value& v);
 
 /// Parses one value in the dump syntax; the whole string must be consumed.
-/// Throws ParseError on malformed input.
+/// Throws ParseError on malformed input, including a negative count or one
+/// larger than the bytes left (checked before anything is reserved).
 Value ValueFromText(const std::string& text);
 
 }  // namespace ldb

@@ -38,6 +38,8 @@ int CountOpSlots(const PhysPtr& p) {
       return n + 1;
     case PhysKind::kHashNest:
       return n + static_cast<int>(p->group_by.size()) + 1;
+    case PhysKind::kRangeNestJoin:
+      return n + 1;
     default:
       return n;
   }
@@ -154,6 +156,28 @@ class Compiler {
         op->var_slot = next_slot_++;
         s.Bind(p->var, op->var_slot);
         *out_scope = std::move(s);
+        break;
+      }
+      case PhysKind::kRangeNestJoin: {
+        // The output scope is the left scope plus the folded variable; the
+        // right subtree's slots are written only while the build drains it.
+        Scope ls, rs;
+        op->left = CompileOp(p->left, &ls);
+        op->right = CompileOp(p->right, &rs);
+        op->out_lo = op->left->out_lo;
+        op->range_op = p->range_op;
+        op->probe_keys.push_back(CompileExpr(p->probe_keys[0], ls));
+        op->build_keys.push_back(CompileExpr(p->build_keys[0], rs));
+        op->head = CompileExpr(p->head, rs);
+        for (const std::string& v : p->null_vars) {
+          int slot = rs.Lookup(v);
+          LDB_INTERNAL_CHECK(slot >= 0, "range nest null-var not bound");
+          op->null_slots.push_back(slot);
+        }
+        op->pred = CompileExpr(p->pred, ls);
+        op->var_slot = next_slot_++;
+        ls.Bind(p->var, op->var_slot);
+        *out_scope = std::move(ls);
         break;
       }
       case PhysKind::kReduce: {
@@ -314,7 +338,8 @@ void PrintSlotOp(const SlotOpPtr& op, int indent, std::ostringstream* out) {
     *out << "]";
   }
   *out << " span[" << op->out_lo << "," << op->out_hi << ")";
-  if (op->kind == PhysKind::kReduce || op->kind == PhysKind::kHashNest) {
+  if (op->kind == PhysKind::kReduce || op->kind == PhysKind::kHashNest ||
+      op->kind == PhysKind::kRangeNestJoin) {
     *out << " monoid=" << MonoidName(op->monoid);
   }
   *out << "\n";

@@ -62,9 +62,14 @@ struct SlotOp {
   bool build_is_left = false;
 
   // kHashNest: output slot + compiled key expression (over the child scope)
-  // per group-by column; null_slots are the resolved null_vars.
+  // per group-by column; null_slots are the resolved null_vars (for
+  // kRangeNestJoin: right-side slots whose NULL drops a build row).
   std::vector<std::pair<int, CExprPtr>> group_slots;
   std::vector<int> null_slots;
+
+  // kRangeNestJoin: probe_keys[0] (left scope) range_op build_keys[0]
+  // (right scope); head reads the right scope, pred the left scope.
+  BinOpKind range_op = BinOpKind::kLt;
 };
 
 /// A compiled plan: the Reduce root plus the frame size (operator slots +

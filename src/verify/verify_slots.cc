@@ -91,6 +91,9 @@ class SlotChecker {
         }
         Claim(op->var_slot, *op, "binding");
         break;
+      case PhysKind::kRangeNestJoin:
+        Claim(op->var_slot, *op, "binding");
+        break;
       default:
         break;
     }
@@ -248,6 +251,41 @@ class SlotChecker {
         }
         CheckExpr(op->pred, child, *op, "predicate");
         CheckExpr(op->head, child, *op, "head");
+        BindCheck(*op);
+        out.avail.insert(op->var_slot);
+        SpanContains(*op, out);
+        break;
+      }
+      case PhysKind::kRangeNestJoin: {
+        Flow l = CheckOp(op->left, false);
+        Flow r = CheckOp(op->right, false);
+        Require(op->left && op->right && op->probe_keys.size() == 1 &&
+                    op->build_keys.size() == 1,
+                "arity", "range nest-join needs two inputs and one operand "
+                "per side", *op);
+        // The operand and the residual read the left row; the build
+        // operand and the head read the right row only (the fold is shared
+        // by every left row, so a left read has no value to see).
+        for (const CExprPtr& k : op->probe_keys) {
+          CheckExpr(k, l, *op, "probe key");
+        }
+        for (const CExprPtr& k : op->build_keys) {
+          CheckExpr(k, r, *op, "build key");
+        }
+        CheckExpr(op->head, r, *op, "head");
+        CheckExpr(op->pred, l, *op, "predicate");
+        // O7: a left row without a match gets the monoid zero; the slots
+        // whose NULL marks such padding are the right input's, the ones the
+        // replaced outer join would have NULL-filled.
+        Require(!op->null_slots.empty(), "O7-null-zero",
+                "range nest-join without padding slots", *op);
+        for (int s : op->null_slots) {
+          Require(r.avail.count(s) > 0, "O7-null-zero",
+                  "null-slot " + std::to_string(s) +
+                      " is not a slot of the right input",
+                  *op);
+        }
+        out = l;
         BindCheck(*op);
         out.avail.insert(op->var_slot);
         SpanContains(*op, out);

@@ -71,13 +71,13 @@ TEST_F(PhysicalTest, ExplainShowsHashJoinWithKeys) {
           "from e in Employees where e.dno = d.dno)) from d in Departments")),
       db_.schema());
   PhysicalOptions hash;
-  std::string explained = ExplainPhysical(plan, hash);
+  std::string explained = ExplainPhysical(plan, hash, db_);
   EXPECT_NE(explained.find("HashOuterJoin"), std::string::npos) << explained;
   EXPECT_NE(explained.find("keys("), std::string::npos);
 
   PhysicalOptions nl;
   nl.use_hash_joins = false;
-  std::string explained_nl = ExplainPhysical(plan, nl);
+  std::string explained_nl = ExplainPhysical(plan, nl, db_);
   EXPECT_NE(explained_nl.find("NLOuterJoin"), std::string::npos) << explained_nl;
 }
 

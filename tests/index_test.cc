@@ -96,12 +96,14 @@ TEST_F(IndexTest, ExplainShowsIndexScan) {
   AlgPtr plan = PlanOf(
       "select distinct e.name from e in Employees where e.dno = 1");
   PhysicalOptions opts;
-  std::string with_db = ExplainPhysical(plan, opts, &db_);
-  EXPECT_NE(with_db.find("IndexScan[e <- Employees.dno = 1]"),
+  std::string with_index = ExplainPhysical(plan, opts, db_);
+  EXPECT_NE(with_index.find("IndexScan[e <- Employees.dno = 1]"),
             std::string::npos)
-      << with_db;
-  std::string without_db = ExplainPhysical(plan, opts);
-  EXPECT_EQ(without_db.find("IndexScan"), std::string::npos);
+      << with_index;
+  opts.use_indexes = false;
+  std::string without_index = ExplainPhysical(plan, opts, db_);
+  EXPECT_EQ(without_index.find("IndexScan"), std::string::npos)
+      << without_index;
 }
 
 TEST_F(IndexTest, WrongSchemaIndexThrows) {

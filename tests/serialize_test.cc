@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "src/lambdadb.h"
 #include "src/workload/oo7.h"
 #include "tests/test_util.h"
@@ -100,6 +103,39 @@ TEST(SerializeTest, MalformedInputsRejected) {
   std::string dump = DumpDatabaseToString(db);
   EXPECT_THROW(LoadDatabaseFromString(dump.substr(0, dump.size() / 2)),
                ParseError);
+}
+
+TEST(SerializeTest, ValueFromTextRejectsHostileCounts) {
+  // BIND values arrive as text from clients. An element count must be
+  // rejected before anything is reserved for it: negative, larger than the
+  // bytes left, or followed by too few elements.
+  const char* bad[] = {
+      "l-1(",                    // negative list count
+      "e-3(I1;)",                // negative set count
+      "l100000000(",             // would reserve ~12.8 GB of Values
+      "g9223372036854775807(",   // the largest count
+      "t100000000(",             // tuple field count
+      "t-1()",                   // negative tuple field count
+      "l3(I1;I2;",               // truncated: count promises a third value
+      "t2(1:aI1;",               // truncated tuple
+      "s-5:abc",                 // negative string length
+      "s99:abc",                 // string longer than the input
+      "I99999999999999999999;",  // integer overflow
+      "I9223372036854775808;",   // INT64_MAX + 1
+      "I-9223372036854775809;",  // INT64_MIN - 1
+  };
+  for (const char* text : bad) {
+    EXPECT_THROW(ValueFromText(text), ParseError) << text;
+  }
+  // Well-formed values still round-trip, empty collections included.
+  Value v = Value::List({Value::Set({}), Value::Int(-7),
+                         Value::Tuple({{"a", Value::Bag({Value::Str("x")})}})});
+  EXPECT_EQ(ValueFromText(ValueToText(v)), v);
+  // Both int64 extremes round-trip.
+  for (int64_t i : {std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(ValueFromText(ValueToText(Value::Int(i))), Value::Int(i)) << i;
+  }
 }
 
 TEST(SerializeTest, IndexContentsAreRebuiltNotSerialized) {

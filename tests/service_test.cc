@@ -419,7 +419,7 @@ TEST_F(ServiceTest, LoadWithIndexesRestoresAccessPaths) {
   Optimizer opt(loaded.schema());
   CompiledQuery q = opt.Compile(
       ParseOQL("select distinct e.name from e in Employees where e.dno = 1"));
-  std::string explained = ExplainPhysical(q.simplified, {}, &loaded);
+  std::string explained = ExplainPhysical(q.simplified, {}, loaded);
   EXPECT_NE(explained.find("IndexScan[e <- Employees.dno = 1]"),
             std::string::npos)
       << explained;

@@ -304,6 +304,40 @@ TEST(VerifySlotPlanTest, ReadBeforeWriteRejected) {
   }
 }
 
+TEST(VerifySlotPlanTest, RangeNestJoinHeadReadingLeftSlotRejected) {
+  // P-JA compiles to Reduce(RangeNestJoin(scan e, scan m)). The fold is
+  // shared by every left row, so a head that reads the left row's slot is
+  // a read of a slot the build never sees written.
+  Database db = TinyCompany();
+  CompiledQuery q = CompileOQL(
+      db.schema(),
+      "select distinct e.name from e in Employees where e.salary < "
+      "max(select m.salary from m in Managers where e.age > m.age)");
+  SlotPlan slots = CompileSlotPlan(PlanPhysical(q.simplified, db), db);
+  ASSERT_TRUE(VerifySlotPlan(slots).ok());
+  auto range = std::const_pointer_cast<SlotOp>(slots.root->left);
+  ASSERT_EQ(range->kind, PhysKind::kRangeNestJoin);
+  const int left_slot = range->left->var_slot;
+  const CExprPtr head = range->head;
+  range->head = CSlot(left_slot);
+  VerifyReport r = VerifySlotPlan(slots);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.stage, "slot-plan");
+  EXPECT_EQ(r.findings[0].rule, "read-before-write");
+  EXPECT_NE(r.findings[0].detail.find("head reads slot " +
+                                      std::to_string(left_slot)),
+            std::string::npos)
+      << r.findings[0].detail;
+
+  // O7: the null-slot must be a right-input slot (the padding the replaced
+  // outer join would have written), not the left row's.
+  range->head = head;
+  range->null_slots = {left_slot};
+  r = VerifySlotPlan(slots);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.findings[0].rule, "O7-null-zero");
+}
+
 TEST(VerifySlotPlanTest, TwoWritersOfOneSlotRejected) {
   // An NLJoin whose two scans both claim slot 0 — the static analog of two
   // concurrent pipelines writing the same frame slot.

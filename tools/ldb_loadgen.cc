@@ -1,7 +1,7 @@
 // ldb_loadgen — open-loop load harness for ldb_server (docs/WIRE.md).
 //
-//   $ ./tools/ldb_loadgen --port 4994 --rate 100 --duration-s 10 \
-//         --connections 8 --json serving.json
+//   $ ./tools/ldb_loadgen --port 4994 --rate 100 --duration-s 10
+//         --connections 8 --json serving.json   (one command line)
 //
 // Open-loop means fixed arrival rate: every request has a precomputed
 // arrival time (i / rate seconds after start) and its latency is measured
@@ -10,9 +10,12 @@
 // of the coordinated-omission mirage a closed loop produces.
 //
 // The workload replays the SERVICE mix from bench_unnesting (type-A,
-// type-JA, count-bug, and a parameterized lookup rotated through its
-// bindings), PREPAREd once per connection and issued as EXECUTE(prepared).
-// Requests are assigned to connections round-robin.
+// type-JA, count-bug, and a parameterized lookup over four bindings),
+// PREPAREd once per connection and issued as EXECUTE(prepared). Requests
+// are assigned to connections round-robin; each request's statement and
+// binding come from a fixed-seed sequence that does not depend on the
+// connection, so no connection carries all requests of one statement
+// (that one connection would bound the run).
 //
 // Outcomes are counted by wire error code: ok, rejected (ADMISSION — the
 // server's admission queue overflowed), cancelled (CANCELLED — deadline
@@ -37,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,6 +71,9 @@ const MixEntry kMix[] = {
     {"select distinct e.name from e in Employees where e.dno = $1", true},
 };
 constexpr size_t kMixSize = sizeof(kMix) / sizeof(kMix[0]);
+// Seeds the per-request statement/binding sequence, so every run issues
+// the same requests.
+constexpr uint64_t kMixSeed = 1;
 
 struct Options {
   std::string host = "127.0.0.1";
@@ -80,6 +87,14 @@ struct Options {
   std::string json_file;
   std::string trace_out;  ///< fetch the slowest trace via INTROSPECT
   std::string label = "service-mix";
+};
+
+// One scheduled request: its index (which fixes the arrival time), the mix
+// statement it runs and the `$1` binding for the parameterized one.
+struct Request {
+  size_t index;
+  size_t statement;
+  int64_t binding;
 };
 
 struct Outcome {
@@ -100,14 +115,14 @@ struct ConnReport {
   int transport_errors = 0;
 };
 
-void RunConnection(const Options& opt, const std::vector<size_t>& indices,
+void RunConnection(const Options& opt, const std::vector<Request>& requests,
                    clock_t_::time_point start, ConnReport* report) {
   net::Client client;
   try {
     net::HelloRequest hello;
     client.Connect(opt.host, opt.port, hello);
   } catch (const Error&) {
-    report->transport_errors += static_cast<int>(indices.size());
+    report->transport_errors += static_cast<int>(requests.size());
     return;
   }
 
@@ -117,25 +132,25 @@ void RunConnection(const Options& opt, const std::vector<size_t>& indices,
       handles[m] = client.Prepare(kMix[m].oql);
     }
   } catch (const Error&) {
-    report->transport_errors += static_cast<int>(indices.size());
+    report->transport_errors += static_cast<int>(requests.size());
     return;
   }
 
-  for (size_t req : indices) {
+  for (const Request& req : requests) {
     auto scheduled =
         start + std::chrono::duration_cast<clock_t_::duration>(
-                    std::chrono::duration<double>(req / opt.rate));
+                    std::chrono::duration<double>(req.index / opt.rate));
     std::this_thread::sleep_until(scheduled);
 
-    const size_t m = req % kMixSize;
+    const size_t m = req.statement;
     Outcome out;
     std::thread canceller;
     try {
       if (kMix[m].parameterized) {
-        client.Bind({{"1", Value::Int(static_cast<int64_t>(req % 4))}});
+        client.Bind({{"1", Value::Int(req.binding)}});
       }
       if (opt.cancel_every > 0 &&
-          req % static_cast<size_t>(opt.cancel_every) == 0) {
+          req.index % static_cast<size_t>(opt.cancel_every) == 0) {
         canceller = std::thread([&client] {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
           try {
@@ -235,10 +250,13 @@ int main(int argc, char** argv) {
 
   const size_t n_requests =
       static_cast<size_t>(opt.rate * opt.duration_s);
-  std::vector<std::vector<size_t>> per_conn(
+  std::vector<std::vector<Request>> per_conn(
       static_cast<size_t>(opt.connections));
+  std::mt19937_64 rng(kMixSeed);
   for (size_t i = 0; i < n_requests; ++i) {
-    per_conn[i % per_conn.size()].push_back(i);
+    const size_t statement = static_cast<size_t>(rng() % kMixSize);
+    const int64_t binding = static_cast<int64_t>(rng() % 4);
+    per_conn[i % per_conn.size()].push_back(Request{i, statement, binding});
   }
 
   std::printf(
