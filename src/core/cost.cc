@@ -129,6 +129,7 @@ double EstimatePhysicalCardinality(const PhysPtr& op, const Catalog& catalog) {
       return std::max(1.0, op->group_by.empty() ? 1.0 : groups);
     }
     case PhysKind::kRangeNestJoin:
+    case PhysKind::kHashNestJoin:
       // Exactly one output row per left row.
       return EstimatePhysicalCardinality(op->left, catalog);
     case PhysKind::kReduce:

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "src/runtime/error.h"
 
@@ -71,7 +72,27 @@ Value MonoidUnit(MonoidKind k, const Value& v) {
 
 namespace {
 
+// max/min are commutative and associative on every input, so folds and
+// partial merges in any order agree: ints compare exactly, a NaN absorbs
+// (canonicalized, whatever its sign), and +0.0 ranks above -0.0.
+Value MaxMin(MonoidKind k, const Value& a, const Value& b) {
+  const bool max = k == MonoidKind::kMax;
+  if (a.kind() == Value::Kind::kInt && b.kind() == Value::Kind::kInt) {
+    return Value::Int(max ? std::max(a.AsInt(), b.AsInt())
+                          : std::min(a.AsInt(), b.AsInt()));
+  }
+  const double x = a.AsNumeric(), y = b.AsNumeric();
+  if (std::isnan(x) || std::isnan(y)) {
+    return Value::Real(std::numeric_limits<double>::quiet_NaN());
+  }
+  if (x == y) {  // equal, or zeros of either sign
+    return Value::Real(std::signbit(x) == max ? y : x);
+  }
+  return Value::Real(max ? std::max(x, y) : std::min(x, y));
+}
+
 Value NumericMerge(MonoidKind k, const Value& a, const Value& b) {
+  if (k == MonoidKind::kMax || k == MonoidKind::kMin) return MaxMin(k, a, b);
   bool both_int =
       a.kind() == Value::Kind::kInt && b.kind() == Value::Kind::kInt;
   double x = a.AsNumeric(), y = b.AsNumeric();
@@ -79,8 +100,6 @@ Value NumericMerge(MonoidKind k, const Value& a, const Value& b) {
   switch (k) {
     case MonoidKind::kSum:  r = x + y; break;
     case MonoidKind::kProd: r = x * y; break;
-    case MonoidKind::kMax:  r = std::max(x, y); break;
-    case MonoidKind::kMin:  r = std::min(x, y); break;
     default: throw InternalError("not numeric monoid");
   }
   if (both_int) return Value::Int(static_cast<int64_t>(r));
@@ -225,7 +244,12 @@ void ExactSum::Absorb(const ExactSum& other) {
 }
 
 double ExactSum::Round() const {
-  if (has_nonfinite_) return nonfinite_;
+  if (has_nonfinite_) {
+    // The sign of a NaN from inf + -inf or NaN + NaN depends on operand
+    // order; one canonical NaN keeps the result order-independent.
+    return std::isnan(nonfinite_) ? std::numeric_limits<double>::quiet_NaN()
+                                  : nonfinite_;
+  }
   // Full carry propagation into unsigned 32-bit digits.
   uint64_t dig[kLimbs];
   int64_t carry = 0;

@@ -280,6 +280,7 @@ void ExplainWalk(const PhysPtr& op, int indent, int* next_id,
   if (const OperatorStats* s = profiler.Find(id)) {
     a << "rows=" << s->rows_out;
     if (s->build_rows > 0) a << "  build=" << s->build_rows;
+    if (s->build_workers > 0) a << "  build_workers=" << s->build_workers;
     if (s->groups > 0) a << "  groups=" << s->groups;
     if (s->short_circuits > 0) a << "  short_circuit=" << s->short_circuits;
     if (s->mem_bytes > 0) a << "  mem=" << s->mem_bytes << "B";

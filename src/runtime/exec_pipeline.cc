@@ -628,18 +628,29 @@ class HashNestIter : public RowIterator {
   size_t pos_ = 0;
 };
 
-// Runs a kRangeNestJoin through its HashNest(NLOuterJoin) expansion (the
-// Env engine is the reference implementation and keeps no second copy of
-// the prefix fold). Owns the expanded operators its iterators reference.
-class ExpandedRangeNestIter : public RowIterator {
+// Runs a nest join through its HashNest(NLOuterJoin) or
+// HashNest(HashOuterJoin) expansion (the Env engine is the reference
+// implementation and keeps no second copy of the folds). Owns the expanded
+// operators its iterators reference.
+class ExpandedNestJoinIter : public RowIterator {
  public:
-  ExpandedRangeNestIter(const PhysOp& op, std::unique_ptr<RowIterator> left,
-                        std::unique_ptr<RowIterator> right, ExprEvaluator* ev,
-                        OperatorStats* stats)
-      : nest_op_(ExpandRangeNestJoin(op)) {
-    auto join = std::make_unique<NLJoinIter>(*nest_op_->left, std::move(left),
+  ExpandedNestJoinIter(const PhysOp& op, std::unique_ptr<RowIterator> left,
+                       std::unique_ptr<RowIterator> right, ExprEvaluator* ev,
+                       OperatorStats* stats)
+      : nest_op_(ExpandNestJoin(op)) {
+    const PhysOp& join_op = *nest_op_->left;
+    std::unique_ptr<RowIterator> join;
+    if (join_op.kind == PhysKind::kHashOuterJoin) {
+      auto hash = std::make_unique<HashJoinIter>(join_op, std::move(left),
+                                                 std::move(right), ev);
+      hash->set_stats(stats);
+      join = std::move(hash);
+    } else {
+      auto nl = std::make_unique<NLJoinIter>(join_op, std::move(left),
                                              std::move(right), ev);
-    join->set_stats(stats);
+      nl->set_stats(stats);
+      join = std::move(nl);
+    }
     auto nest = std::make_unique<HashNestIter>(*nest_op_, std::move(join), ev);
     nest->set_stats(stats);
     nest_ = std::move(nest);
@@ -713,12 +724,13 @@ std::unique_ptr<RowIterator> MakeProfiledEnvIter(const PhysPtr& op,
       inner = std::move(nest);
       break;
     }
-    case PhysKind::kRangeNestJoin: {
+    case PhysKind::kRangeNestJoin:
+    case PhysKind::kHashNestJoin: {
       // The expansion profiles as this one operator, so child ids still
       // line up with the slot plan's.
       auto left = MakeProfiledEnvIter(op->left, ev, prof, next_id);
       auto right = MakeProfiledEnvIter(op->right, ev, prof, next_id);
-      inner = std::make_unique<ExpandedRangeNestIter>(
+      inner = std::make_unique<ExpandedNestJoinIter>(
           *op, std::move(left), std::move(right), ev, stats);
       break;
     }
@@ -822,12 +834,23 @@ struct RangeTable {
   bool sorted = true;
 };
 
+// Build side of a kHashNestJoin (docs/EXECUTOR.md, "HashNestJoin"): per
+// join key, the fold of the head over the contributing right rows. Keys
+// follow JoinTable's semantics (ValueHash / ==, composite keys as lists), so
+// a key meets exactly the right rows HashOuterJoin would pair it with.
+struct FoldGroup {
+  Accumulator acc;
+  Value fold;  // acc's result, set once when the build completes
+};
+using FoldTable = std::unordered_map<Value, FoldGroup, ValueHash>;
+
 // Build-side tables prebuilt once and shared read-only by all workers,
 // keyed by the owning operator's SlotOp::id.
 struct SharedTables {
   std::unordered_map<int, JoinTable> join_tables;
   std::unordered_map<int, std::vector<BufRow>> buffers;
   std::unordered_map<int, RangeTable> range_tables;
+  std::unordered_map<int, FoldTable> fold_tables;
   // (op class, bytes) charged per prebuilt table. Entries are pushed before
   // the rows charge against them, so an over-budget throw mid-build still
   // leaves every applied byte recorded; the parallel executor's scope guard
@@ -961,6 +984,33 @@ void AccumulateNestRow(const SlotOp& nest, FrameEvaluator* fev, Frame& frame,
   }
 }
 
+// Folds the frame's right row into *t when it can contribute: a non-NULL
+// key (it never matches) and no padded null-slot (the nest skips those).
+// New groups are charged before they are inserted and recorded in *charged
+// first, so an over-budget throw leaves them releasable by the caller.
+// Returns whether the row was hashed — the rows HashOuterJoin would build.
+bool FoldBuildRow(const SlotOp& op, FrameEvaluator* fev, Frame& frame,
+                  bool sized, FoldTable* t, size_t* charged) {
+  Value key_scratch;
+  const Value* key = EvalKeyPtr(fev, frame, op.build_keys, &key_scratch);
+  if (key->is_null()) return false;
+  for (int s : op.null_slots) {
+    if (frame[s].is_null()) return true;
+  }
+  auto it = t->find(*key);
+  if (it == t->end()) {
+    if (sized) {
+      size_t b = EstimateValueBytes(*key) + sizeof(FoldGroup);
+      *charged += b;
+      fev->mem().Charge(static_cast<int>(PhysKind::kHashNestJoin), b);
+    }
+    it = t->emplace(*key, FoldGroup{Accumulator(op.monoid), Value()}).first;
+  }
+  Value head_scratch;
+  it->second.acc.Add(*fev->EvalPtr(*op.head, frame, &head_scratch));
+  return true;
+}
+
 bool HasNaN(const Value& v) {
   switch (v.kind()) {
     case Value::Kind::kReal:
@@ -1071,7 +1121,7 @@ uint64_t BuildRangeTable(const SlotOp& op, FrameIter* right,
 
   t->zero = Accumulator(op.monoid).Finish();
   for (const auto& [key, head] : t->rows) {
-    if (HasNaN(key) || HasNaN(head)) {
+    if (HasNaN(key)) {
       t->sorted = false;
       return drained;
     }
@@ -1641,6 +1691,98 @@ class FRangeNestJoinIter : public FrameIter {
   const RangeTable* table_ = nullptr;
 };
 
+// What a kHashNestJoin build needs to run as a morsel pipeline of its own
+// over its right input (ParallelFoldBuild). Null inside morsel workers,
+// whose nest-join tables are always prebuilt: thread pools never nest.
+struct ParallelBuild {
+  const Database* db;
+  const SlotPlan* sp;
+  const ExecOptions* opt;
+  QueryProfiler* prof;  // the query's profiler, or null
+};
+
+// Builds and finishes op's fold table, in parallel when `par` allows
+// (ParallelFoldBuild), else by draining `right` on this thread. Every byte
+// charged is recorded in *charged, also on a throw; the build is recorded
+// in `stats` when non-null. Defined with the parallel executor below.
+void BuildFoldTable(const SlotOp& op, FrameIter* right,
+                    const ParallelBuild* par, FrameEvaluator* fev,
+                    Frame& frame, OperatorStats* stats, FoldTable* t,
+                    size_t* charged);
+
+// Streams the left child and writes each left row's fold, looked up by its
+// join key in a FoldTable built from the right child on Open (or injected
+// prebuilt by the parallel executor, in which case right_ is null). A left
+// row failing the residual, or with a NULL or unmatched key, gets the zero.
+class FHashNestJoinIter : public FrameIter {
+ public:
+  FHashNestJoinIter(const SlotOp& op, std::unique_ptr<FrameIter> left,
+                    std::unique_ptr<FrameIter> right, FrameEvaluator* fev,
+                    Frame* frame, const FoldTable* shared_table,
+                    const ParallelBuild* par)
+      : op_(op), left_(std::move(left)), right_(std::move(right)), fev_(fev),
+        frame_(frame), shared_table_(shared_table), par_(par),
+        zero_(Accumulator(op.monoid).Finish()) {}
+
+  ~FHashNestJoinIter() override { ReleaseCharge(); }
+
+  void set_stats(OperatorStats* s) { stats_ = s; }
+
+  void Open() override {
+    ReleaseCharge();
+    if (shared_table_ != nullptr) {
+      table_ = shared_table_;  // prebuilt: the parallel executor owns the charge
+    } else {
+      own_table_.clear();
+      BuildFoldTable(op_, right_.get(), par_, fev_, *frame_, stats_,
+                     &own_table_, &charged_);
+      table_ = &own_table_;
+    }
+    left_->Open();
+  }
+
+  bool Next() override {
+    if (!left_->Next()) return false;
+    const Value* fold = &zero_;
+    if (fev_->EvalPred(*op_.pred, *frame_)) {
+      Value scratch;
+      const Value* key = EvalKeyPtr(fev_, *frame_, op_.probe_keys, &scratch);
+      if (!key->is_null()) {
+        auto it = table_->find(*key);
+        if (it != table_->end()) fold = &it->second.fold;
+      }
+    }
+    (*frame_)[op_.var_slot] = *fold;
+    if (stats_) ++stats_->groups;  // one group per left row, as in HashNest
+    return true;
+  }
+  void Close() override {
+    left_->Close();
+    own_table_.clear();
+    ReleaseCharge();
+  }
+
+ private:
+  void ReleaseCharge() {
+    if (charged_ > 0) {
+      fev_->mem().Release(static_cast<int>(op_.kind), charged_);
+      charged_ = 0;
+    }
+  }
+
+  const SlotOp& op_;
+  std::unique_ptr<FrameIter> left_, right_;
+  FrameEvaluator* fev_;
+  Frame* frame_;
+  OperatorStats* stats_ = nullptr;
+  size_t charged_ = 0;
+  const FoldTable* shared_table_;
+  const ParallelBuild* par_;
+  const Value zero_;
+  FoldTable own_table_;
+  const FoldTable* table_ = nullptr;
+};
+
 // Construction context: the per-thread frame/evaluator, plus the parallel
 // executor's injections (shared build tables, the morsel-ranged driver scan,
 // pre-merged nest groups for the serial tail).
@@ -1654,6 +1796,7 @@ struct FrameExecCtx {
   std::vector<NestGroup>* prebuilt_groups = nullptr;  // moved from when hit
   size_t prebuilt_bytes = 0;  // bytes the executor charged for those groups
   QueryProfiler* profiler = nullptr;  // null = build the uninstrumented tree
+  const ParallelBuild* par = nullptr;  // lets nest-join builds go parallel
 };
 
 std::unique_ptr<FrameIter> MakeFrameIterator(const SlotOpPtr& op,
@@ -1738,6 +1881,20 @@ std::unique_ptr<FrameIter> MakeFrameIterator(const SlotOpPtr& op,
       out = std::move(join);
       break;
     }
+    case PhysKind::kHashNestJoin: {
+      const FoldTable* shared_table = nullptr;
+      if (ctx.shared != nullptr) {
+        auto it = ctx.shared->fold_tables.find(op->id);
+        if (it != ctx.shared->fold_tables.end()) shared_table = &it->second;
+      }
+      auto right = shared_table ? nullptr : MakeFrameIterator(op->right, ctx);
+      auto join = std::make_unique<FHashNestJoinIter>(
+          *op, MakeFrameIterator(op->left, ctx), std::move(right), ctx.fev,
+          ctx.frame, shared_table, ctx.par);
+      join->set_stats(stats);
+      out = std::move(join);
+      break;
+    }
     case PhysKind::kHashNest: {
       std::unique_ptr<FHashNestIter> nest;
       if (op->id == ctx.prebuilt_nest_id) {
@@ -1767,10 +1924,12 @@ Value ExecuteSlotSerial(const SlotPlan& sp, const Database& db,
   ArmEvaluator(&fev, opt);
   Frame frame(static_cast<size_t>(sp.n_slots));
   FillParams(sp, opt, frame);
+  ParallelBuild par{&db, &sp, &opt, prof};
   FrameExecCtx ctx;
   ctx.fev = &fev;
   ctx.frame = &frame;
   ctx.profiler = prof;
+  ctx.par = &par;
   Accumulator acc(sp.root->monoid);
   Value scratch;
   uint64_t folded = 0;
@@ -1845,9 +2004,10 @@ struct SpineInfo {
   SlotOpPtr lowest_nest;  // deepest kHashNest on the spine, if any
 };
 
-SpineInfo AnalyzeSpine(const SlotOpPtr& root) {
+// `top` is the operator below the Reduce root, or a nest join's right input.
+SpineInfo AnalyzeSpine(const SlotOpPtr& top) {
   SpineInfo info;
-  SlotOpPtr cur = root->left;
+  SlotOpPtr cur = top;
   while (cur) {
     switch (cur->kind) {
       case PhysKind::kFilter:
@@ -1856,6 +2016,7 @@ SpineInfo AnalyzeSpine(const SlotOpPtr& root) {
       case PhysKind::kNLJoin:
       case PhysKind::kNLOuterJoin:
       case PhysKind::kRangeNestJoin:
+      case PhysKind::kHashNestJoin:
         cur = cur->left;
         break;
       case PhysKind::kHashJoin:
@@ -1876,8 +2037,10 @@ SpineInfo AnalyzeSpine(const SlotOpPtr& root) {
   return SpineInfo{};
 }
 
-// Builds every spine join's build/buffer side once, serially, so workers
-// share the tables read-only. With a profiler, the build subtrees' counters
+// Builds every spine join's build/buffer side once, before the workers
+// start, so workers share the tables read-only (a nest join's fold table may
+// itself be built by a morsel pipeline: ParallelFoldBuild). With a
+// profiler, the build subtrees' counters
 // and the joins' build_rows land in *prof — once, matching the serial run —
 // while the workers (who only read the shared tables) record nothing for
 // them.
@@ -1888,6 +2051,7 @@ void PrebuildSpineTables(const SlotOpPtr& sub_root, const Database& db,
   ArmEvaluator(&fev, opt);
   Frame frame(static_cast<size_t>(sp.n_slots));
   FillParams(sp, opt, frame);
+  ParallelBuild par{&db, &sp, &opt, prof};
   for (SlotOpPtr cur = sub_root; cur;) {
     switch (cur->kind) {
       case PhysKind::kFilter:
@@ -1901,6 +2065,7 @@ void PrebuildSpineTables(const SlotOpPtr& sub_root, const Database& db,
         ctx.fev = &fev;
         ctx.frame = &frame;
         ctx.profiler = prof;
+        ctx.par = &par;
         auto it = MakeFrameIterator(cur->right, ctx);
         it->Open();
         std::vector<BufRow> buf;
@@ -1934,6 +2099,7 @@ void PrebuildSpineTables(const SlotOpPtr& sub_root, const Database& db,
         ctx.fev = &fev;
         ctx.frame = &frame;
         ctx.profiler = prof;
+        ctx.par = &par;
         auto it = MakeFrameIterator(build, ctx);
         it->Open();
         JoinTable table;
@@ -1971,6 +2137,7 @@ void PrebuildSpineTables(const SlotOpPtr& sub_root, const Database& db,
         ctx.fev = &fev;
         ctx.frame = &frame;
         ctx.profiler = prof;
+        ctx.par = &par;
         auto it = MakeFrameIterator(cur->right, ctx);
         RangeTable table;
         const bool sized = fev.mem().armed() || prof != nullptr;
@@ -1985,6 +2152,25 @@ void PrebuildSpineTables(const SlotOpPtr& sub_root, const Database& db,
           s->mem_bytes += shared->charges.back().second;
         }
         shared->range_tables.emplace(cur->id, std::move(table));
+        cur = cur->left;
+        break;
+      }
+      case PhysKind::kHashNestJoin: {
+        FrameExecCtx ctx;
+        ctx.fev = &fev;
+        ctx.frame = &frame;
+        ctx.profiler = prof;
+        ctx.par = &par;
+        auto it = MakeFrameIterator(cur->right, ctx);
+        OperatorStats* s =
+            prof ? prof->Register(cur->id, cur->kind,
+                                  ProfLabel(cur->kind, cur->extent))
+                 : nullptr;
+        FoldTable table;
+        shared->charges.emplace_back(static_cast<int>(cur->kind), 0);
+        BuildFoldTable(*cur, it.get(), &par, &fev, frame, s, &table,
+                       &shared->charges.back().second);
+        shared->fold_tables.emplace(cur->id, std::move(table));
         cur = cur->left;
         break;
       }
@@ -2128,6 +2314,118 @@ struct WorkerStateRegistry {
   }
 };
 
+// The prebuilt tables' reservations live exactly as long as the tables:
+// released when the guard leaves scope on every exit path (success, cancel,
+// over-budget unwind).
+struct SharedChargeGuard {
+  const ExecOptions* opt;
+  const SharedTables* shared;
+  ~SharedChargeGuard() {
+    if (opt->resource == nullptr) return;
+    for (const auto& [cls, b] : shared->charges) {
+      if (b > 0) opt->resource->Apply(cls, -static_cast<int64_t>(b));
+    }
+  }
+};
+
+// Builds op's fold table as a morsel pipeline over its right input when
+// `opt` asks for threads and that input's spine is driven by a table scan
+// longer than one morsel; returns the number of workers, or 0 (having done
+// nothing) when the build should stay on the calling thread. Each worker
+// folds into a private partial table; after the join the partials merge
+// with Accumulator::Absorb, which is exact and order-free for the nest
+// join's monoids, so the merged table equals a serial build's. The
+// workers' charges are added to *charged on every exit path.
+int ParallelFoldBuild(const SlotOp& op, const ParallelBuild& par,
+                      OperatorStats* stats, FoldTable* t, size_t* charged) {
+  const ExecOptions& opt = *par.opt;
+  if (opt.n_threads <= 1) return 0;
+  SpineInfo spine = AnalyzeSpine(op.right);
+  if (!spine.driver || spine.lowest_nest) return 0;
+  const size_t morsel = std::max<size_t>(1, opt.morsel_size);
+  MorselQueue mq{par.db->Extent(spine.driver->extent).size(), morsel};
+  if (mq.total <= morsel) return 0;
+
+  SharedTables shared;
+  SharedChargeGuard shared_guard{&opt, &shared};
+  PrebuildSpineTables(op.right, *par.db, *par.sp, opt, &shared, par.prof);
+
+  const int n_workers = static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(opt.n_threads), mq.count()));
+  const bool profiling = par.prof != nullptr;
+  std::vector<FoldTable> parts(static_cast<size_t>(n_workers));
+  std::vector<size_t> part_charged(parts.size(), 0);
+  std::vector<uint64_t> part_built(parts.size(), 0);
+  std::atomic<bool> stop{false};
+  std::atomic<int> worker_seq{0};
+  WorkerStateRegistry registry;
+  auto make_state = [&]() {
+    auto state = std::make_shared<WorkerPipeline>(
+        *par.db, *par.sp, opt, op.right, shared, spine.driver->id,
+        worker_seq.fetch_add(1, std::memory_order_relaxed), profiling);
+    if (profiling) registry.Add(state);
+    return state;
+  };
+  // Runs once the workers have joined, on success and on the unwind alike.
+  auto settle = [&]() {
+    for (size_t b : part_charged) *charged += b;
+    if (stats) {
+      for (uint64_t n : part_built) stats->build_rows += n;
+      stats->build_workers = std::max<uint64_t>(
+          stats->build_workers, static_cast<uint64_t>(n_workers));
+    }
+    if (profiling) {
+      for (const auto& s : registry.AfterJoin()) par.prof->MergeFrom(s->prof);
+    }
+  };
+  try {
+    RunMorsels(mq, n_workers, stop, make_state,
+               [&](size_t, size_t lo, size_t hi, WorkerPipeline& w) {
+                 const size_t i = static_cast<size_t>(w.wstats.worker);
+                 const bool sized = w.fev.mem().armed() || profiling;
+                 w.driver->SetRange(lo, hi);
+                 w.pipe->Open();
+                 while (w.pipe->Next()) {
+                   PollCancel(opt.cancel);
+                   part_built[i] += FoldBuildRow(op, &w.fev, w.frame, sized,
+                                                 &parts[i], &part_charged[i]);
+                 }
+                 w.pipe->Close();
+               });
+  } catch (...) {
+    settle();
+    throw;
+  }
+  settle();
+  for (FoldTable& part : parts) {
+    for (auto& [key, g] : part) {
+      auto [it, inserted] = t->try_emplace(key, std::move(g));
+      if (!inserted) it->second.acc.Absorb(g.acc);
+    }
+  }
+  return n_workers;
+}
+
+void BuildFoldTable(const SlotOp& op, FrameIter* right,
+                    const ParallelBuild* par, FrameEvaluator* fev,
+                    Frame& frame, OperatorStats* stats, FoldTable* t,
+                    size_t* charged) {
+  const size_t before = *charged;
+  if (par == nullptr || ParallelFoldBuild(op, *par, stats, t, charged) == 0) {
+    const bool sized = fev->mem().armed() || stats != nullptr;
+    uint64_t built = 0;
+    right->Open();
+    while (right->Next()) {
+      PollCancel(fev->cancel());
+      built += FoldBuildRow(op, fev, frame, sized, t, charged);
+    }
+    right->Close();
+    if (stats) stats->build_rows += built;
+  }
+  for (auto& [key, g] : *t) g.fold = g.acc.Finish();
+  if (stats) stats->mem_bytes += *charged - before;
+}
+
 // True if a parallel run of this plan is guaranteed bit-identical to the
 // serial run when per-morsel partials merge in morsel order. The only
 // exclusion is a floating-point product at the root: Accumulator folds
@@ -2143,7 +2441,7 @@ bool ParallelRootEligible(MonoidKind root_monoid) {
 bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
                         const ExecOptions& opt, Value* out) {
   const SlotOpPtr& root = sp.root;
-  SpineInfo spine = AnalyzeSpine(root);
+  SpineInfo spine = AnalyzeSpine(root->left);
   if (!spine.driver) return false;
   if (!spine.lowest_nest && !ParallelRootEligible(root->monoid)) return false;
   const std::vector<Value>& extent = db.Extent(spine.driver->extent);
@@ -2160,18 +2458,7 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
   const SlotOpPtr sub_root = spine.lowest_nest ? spine.lowest_nest->left
                                                : root->left;
   SharedTables shared;
-  // The prebuilt tables' reservations live exactly as long as the tables:
-  // released here on every exit path (success, cancel, over-budget unwind).
-  struct SharedChargeGuard {
-    const ExecOptions* opt;
-    const SharedTables* shared;
-    ~SharedChargeGuard() {
-      if (opt->resource == nullptr) return;
-      for (const auto& [cls, b] : shared->charges) {
-        if (b > 0) opt->resource->Apply(cls, -static_cast<int64_t>(b));
-      }
-    }
-  } shared_guard{&opt, &shared};
+  SharedChargeGuard shared_guard{&opt, &shared};
   PrebuildSpineTables(sub_root, db, sp, opt, &shared, uprof);
 
   MorselQueue mq{extent.size(), morsel};
@@ -2452,6 +2739,8 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
   ctx.prebuilt_groups = &merged.groups;
   ctx.prebuilt_bytes = nest_outstanding;
   ctx.profiler = uprof;
+  ParallelBuild par{&db, &sp, &opt, uprof};
+  ctx.par = &par;
   Accumulator acc(root->monoid);
   Value scratch;
   uint64_t tail_rows = 0;
@@ -2547,7 +2836,8 @@ std::unique_ptr<RowIterator> MakeIterator(const PhysPtr& op, ExprEvaluator* ev) 
     case PhysKind::kHashNest:
       return std::make_unique<HashNestIter>(*op, MakeIterator(op->left, ev), ev);
     case PhysKind::kRangeNestJoin:
-      return std::make_unique<ExpandedRangeNestIter>(
+    case PhysKind::kHashNestJoin:
+      return std::make_unique<ExpandedNestJoinIter>(
           *op, MakeIterator(op->left, ev), MakeIterator(op->right, ev), ev,
           nullptr);
     case PhysKind::kReduce:

@@ -20,8 +20,8 @@ std::shared_ptr<PhysOp> New(PhysKind k) {
 }
 
 // True if evaluating `e` can raise an EvalError on well-typed input. The
-// range nest-join evaluates its operands and head on every row, where the
-// nested-loop plan evaluates them only on the pairs it visits, so an
+// nest joins evaluate their operands and head on every row, where the
+// outer-join plan evaluates them only on the pairs it visits, so an
 // expression that can fail would make the two plans disagree.
 bool MayRaise(const ExprPtr& e) {
   if (!e) return false;
@@ -47,9 +47,10 @@ bool MayRaise(const ExprPtr& e) {
   return MayRaise(e->a) || MayRaise(e->b) || MayRaise(e->c);
 }
 
-// Monoids whose fold over a sorted prefix equals the fold in stream order:
-// Accumulator is exact and commutative for these (ExactSum for real sums).
-bool RangeFoldMonoid(MonoidKind m) {
+// Monoids whose fold in any order (a sorted prefix, per-worker partials)
+// equals the fold in stream order: Accumulator is exact and commutative for
+// these (ExactSum for real sums).
+bool OrderFreeMonoid(MonoidKind m) {
   switch (m) {
     case MonoidKind::kMax:
     case MonoidKind::kMin:
@@ -131,7 +132,7 @@ class Planner {
         return out;
       }
       case AlgKind::kNest: {
-        if (PhysPtr range = PlanRangeNest(*op)) return range;
+        if (PhysPtr fused = PlanNestJoin(*op)) return fused;
         auto out = New(PhysKind::kHashNest);
         out->left = Plan(op->left);
         out->monoid = op->monoid;
@@ -207,20 +208,19 @@ class Planner {
     return out;
   }
 
-  // Nest(OuterJoin) over a single inequality `L θ R` becomes a
-  // kRangeNestJoin (docs/EXECUTOR.md, "RangeNestJoin"); null when any
-  // eligibility condition fails, leaving HashNest(NLOuterJoin).
-  PhysPtr PlanRangeNest(const AlgOp& nest) {
+  // Nest(OuterJoin) whose groups are exactly the left rows becomes one
+  // operator that folds the right side once (docs/EXECUTOR.md, "Nest
+  // joins"): a kHashNestJoin when the join has hashable equi keys, a
+  // kRangeNestJoin when it has exactly one inequality. Every other conjunct
+  // must read only one side. Null when any condition fails, leaving
+  // HashNest over the plain outer join.
+  PhysPtr PlanNestJoin(const AlgOp& nest) {
     const AlgPtr& join = nest.left;
-    if (join->kind != AlgKind::kOuterJoin || !RangeFoldMonoid(nest.monoid)) {
+    if (join->kind != AlgKind::kOuterJoin || !OrderFreeMonoid(nest.monoid)) {
       return nullptr;
     }
     std::vector<std::string> lvars = OutputVars(join->left);
     std::vector<std::string> rvars = OutputVars(join->right);
-    if (options_.use_hash_joins &&
-        ExtractEquiKeys(join->pred, lvars, rvars).hashable()) {
-      return nullptr;  // HashOuterJoin territory
-    }
     std::vector<std::string> all = lvars;
     all.insert(all.end(), rvars.begin(), rvars.end());
     if (!Unique(all)) return nullptr;
@@ -238,20 +238,33 @@ class Planner {
         std::set<std::string>(rvars.begin(), rvars.end())) {
       return nullptr;
     }
+    // The fold evaluates the head, the nest predicate and every conjunct on
+    // each row of its side, where the outer join evaluates them only on the
+    // pairs it visits, so none of them may raise.
     if (!ReadsOnly(nest.head, rvars) || !ReadsOnly(nest.pred, rvars) ||
-        MayRaise(nest.head) || MayRaise(nest.pred)) {
+        MayRaise(nest.head) || MayRaise(nest.pred) || MayRaise(join->pred)) {
       return nullptr;
+    }
+    // The same keys HashOuterJoin would use, so matching is identical.
+    JoinKeys keys;
+    keys.residual = join->pred;
+    if (options_.use_hash_joins) {
+      keys = ExtractEquiKeys(join->pred, lvars, rvars);
     }
     ExprPtr lhs, rhs;
     BinOpKind range_op = BinOpKind::kLt;
-    std::vector<ExprPtr> left_only;
-    for (const ExprPtr& c : SplitConjuncts(join->pred)) {
-      if (MayRaise(c)) return nullptr;
+    std::vector<ExprPtr> left_only, right_only;
+    for (const ExprPtr& c : SplitConjuncts(keys.residual)) {
       if (ReadsOnly(c, lvars)) {
         left_only.push_back(c);
         continue;
       }
-      if (lhs || c->kind != ExprKind::kBinOp || !IsRangeOp(c->bin_op)) {
+      if (ReadsOnly(c, rvars)) {
+        right_only.push_back(c);
+        continue;
+      }
+      if (keys.hashable() || lhs || c->kind != ExprKind::kBinOp ||
+          !IsRangeOp(c->bin_op)) {
         return nullptr;
       }
       if (ReadsOnly(c->a, lvars) && ReadsOnly(c->b, rvars)) {
@@ -266,23 +279,33 @@ class Planner {
         return nullptr;
       }
     }
-    if (!lhs || !DistinctRows(join->left)) return nullptr;
+    if ((!keys.hashable() && !lhs) || !DistinctRows(join->left)) {
+      return nullptr;
+    }
 
-    auto out = New(PhysKind::kRangeNestJoin);
+    auto out = New(keys.hashable() ? PhysKind::kHashNestJoin
+                                   : PhysKind::kRangeNestJoin);
     out->left = Plan(join->left);
     PhysPtr right = Plan(join->right);
-    if (!nest.pred->IsTrueLiteral()) {
-      // A right row failing the nest predicate contributes nothing, exactly
-      // as if it had never matched: filter it out of the build.
+    // A right row failing a right-only conjunct or the nest predicate
+    // contributes nothing, exactly as if it had never matched: filter it
+    // out of the build.
+    if (!nest.pred->IsTrueLiteral()) right_only.push_back(nest.pred);
+    if (!right_only.empty()) {
       auto filter = New(PhysKind::kFilter);
       filter->left = right;
-      filter->pred = nest.pred;
+      filter->pred = MakeConjunction(right_only);
       right = filter;
     }
     out->right = right;
-    out->probe_keys = {lhs};
-    out->build_keys = {rhs};
-    out->range_op = range_op;
+    if (keys.hashable()) {
+      out->probe_keys = keys.left_keys;
+      out->build_keys = keys.right_keys;
+    } else {
+      out->probe_keys = {lhs};
+      out->build_keys = {rhs};
+      out->range_op = range_op;
+    }
     out->pred = MakeConjunction(left_only);
     out->monoid = nest.monoid;
     out->head = nest.head;
@@ -294,8 +317,8 @@ class Planner {
   }
 
   // True if `op` provably emits rows that are pairwise distinct on its
-  // output variables: HashNest merges equal left rows into one group, the
-  // range nest-join emits one row per left row.
+  // output variables: HashNest merges equal left rows into one group, a
+  // nest join emits one row per left row.
   bool DistinctRows(const AlgPtr& op) {
     switch (op->kind) {
       case AlgKind::kUnit:
@@ -358,6 +381,7 @@ const char* PhysKindName(PhysKind kind) {
     case PhysKind::kHashNest:      return "HashNest";
     case PhysKind::kReduce:        return "Reduce";
     case PhysKind::kRangeNestJoin: return "RangeNestJoin";
+    case PhysKind::kHashNestJoin:  return "HashNestJoin";
   }
   return "?";
 }
@@ -423,18 +447,35 @@ std::string DescribePhysOp(const PhysOp& op) {
                                 op.build_keys[0]))
          << pred_suffix() << "]";
       break;
+    case PhysKind::kHashNestJoin:
+      os << "HashNestJoin[" << MonoidName(op.monoid) << '/'
+         << PrintExpr(op.head) << " -> " << op.var << " keys(";
+      for (size_t i = 0; i < op.probe_keys.size(); ++i) {
+        if (i) os << ", ";
+        os << PrintExpr(op.probe_keys[i]) << '=' << PrintExpr(op.build_keys[i]);
+      }
+      os << ')' << pred_suffix() << "]";
+      break;
   }
   return os.str();
 }
 
-PhysPtr ExpandRangeNestJoin(const PhysOp& op) {
-  LDB_INTERNAL_CHECK(op.kind == PhysKind::kRangeNestJoin,
-                     "not a range nest-join");
-  auto join = New(PhysKind::kNLOuterJoin);
+PhysPtr ExpandNestJoin(const PhysOp& op) {
+  std::shared_ptr<PhysOp> join;
+  if (op.kind == PhysKind::kHashNestJoin) {
+    join = New(PhysKind::kHashOuterJoin);
+    join->probe_keys = op.probe_keys;
+    join->build_keys = op.build_keys;
+    join->pred = op.pred;
+  } else {
+    LDB_INTERNAL_CHECK(op.kind == PhysKind::kRangeNestJoin,
+                       "not a nest join");
+    join = New(PhysKind::kNLOuterJoin);
+    join->pred = MakeConjunction(
+        {Expr::Bin(op.range_op, op.probe_keys[0], op.build_keys[0]), op.pred});
+  }
   join->left = op.left;
   join->right = op.right;
-  join->pred = MakeConjunction(
-      {Expr::Bin(op.range_op, op.probe_keys[0], op.build_keys[0]), op.pred});
   join->pad_vars = op.pad_vars;
   auto nest = New(PhysKind::kHashNest);
   nest->left = join;

@@ -45,6 +45,7 @@ enum class PhysKind {
   kHashNest,       ///< blocking hash grouping (the Γ operator)
   kReduce,         ///< root fold, with quantifier short-circuit
   kRangeNestJoin,  ///< Γ(=⋈) over one inequality: sorted prefix fold
+  kHashNestJoin,   ///< Γ(=⋈) over equi keys: per-key fold of the right side
 };
 
 /// One physical operator. Field use mirrors AlgOp, plus the physical
@@ -76,12 +77,15 @@ struct PhysOp {
   // padding variables for outer joins (the build/buffered side's variables)
   std::vector<std::string> pad_vars;
 
-  // kRangeNestJoin: a Nest directly over an OuterJoin whose predicate is
-  // `probe_keys[0] range_op build_keys[0]` (left operand first) plus the
-  // left-only conjuncts in `pred`. The nest fields (monoid, head, var,
-  // group_by = identity over the left variables, null_vars = pad_vars =
-  // the right variables) keep their HashNest meaning, so the operator can
-  // be expanded back into HashNest(NLOuterJoin) (ExpandRangeNestJoin).
+  // The nest joins: a Nest directly over an OuterJoin whose predicate is
+  // the left-only conjuncts in `pred` plus, for kRangeNestJoin,
+  // `probe_keys[0] range_op build_keys[0]` (left operand first), or, for
+  // kHashNestJoin, `probe_keys[i] = build_keys[i]` for every i (right-only
+  // conjuncts sit in a Filter on the right input). The nest fields (monoid,
+  // head, var, group_by = identity over the left variables, null_vars =
+  // pad_vars = the right variables) keep their HashNest meaning, so the
+  // operator can be expanded back into HashNest over NLOuterJoin or
+  // HashOuterJoin (ExpandNestJoin).
   BinOpKind range_op = BinOpKind::kLt;
 };
 
@@ -91,9 +95,10 @@ struct PhysOp {
 PhysPtr PlanPhysical(const AlgPtr& plan, const Database& db,
                      const PhysicalOptions& options = {});
 
-/// The HashNest(NLOuterJoin) pair a kRangeNestJoin replaces; results of
-/// the two forms are identical.
-PhysPtr ExpandRangeNestJoin(const PhysOp& op);
+/// The HashNest(NLOuterJoin) pair a kRangeNestJoin replaces, or the
+/// HashNest(HashOuterJoin) pair a kHashNestJoin replaces; results of the
+/// two forms are identical.
+PhysPtr ExpandNestJoin(const PhysOp& op);
 
 /// Operator-kind mnemonic ("TableScan", "HashJoin", ...).
 const char* PhysKindName(PhysKind kind);

@@ -19,6 +19,7 @@ void OperatorStats::MergeFrom(const OperatorStats& o) {
   open_ns += o.open_ns;
   next_ns += o.next_ns;
   build_rows += o.build_rows;
+  build_workers = std::max(build_workers, o.build_workers);
   groups += o.groups;
   short_circuits += o.short_circuits;
   mem_bytes += o.mem_bytes;
@@ -230,6 +231,7 @@ PhysKind KindFromName(const std::string& name) {
       {"HashNest", PhysKind::kHashNest},
       {"Reduce", PhysKind::kReduce},
       {"RangeNestJoin", PhysKind::kRangeNestJoin},
+      {"HashNestJoin", PhysKind::kHashNestJoin},
   };
   for (const auto& [n, k] : kTable) {
     if (name == n) return k;
@@ -264,7 +266,9 @@ std::string ProfileToJson(const QueryProfiler& prof) {
     JsonDouble(s->open_ns, os);
     os << ", \"next_ns\": ";
     JsonDouble(s->next_ns, os);
-    os << ", \"build_rows\": " << s->build_rows << ", \"groups\": " << s->groups
+    os << ", \"build_rows\": " << s->build_rows
+       << ", \"build_workers\": " << s->build_workers
+       << ", \"groups\": " << s->groups
        << ", \"short_circuits\": " << s->short_circuits
        << ", \"mem_bytes\": " << s->mem_bytes << "}";
   }
@@ -336,6 +340,7 @@ QueryProfiler ProfileFromJson(const std::string& json) {
           else if (f == "open_ns") tmp.open_ns = r.ParseNumber();
           else if (f == "next_ns") tmp.next_ns = r.ParseNumber();
           else if (f == "build_rows") tmp.build_rows = r.ParseUint();
+          else if (f == "build_workers") tmp.build_workers = r.ParseUint();
           else if (f == "groups") tmp.groups = r.ParseUint();
           else if (f == "short_circuits") tmp.short_circuits = r.ParseUint();
           else if (f == "mem_bytes") tmp.mem_bytes = r.ParseUint();

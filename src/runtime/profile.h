@@ -51,7 +51,9 @@ struct OperatorStats {
   double next_ns = 0;          ///< cumulative time in Next(), children incl.
 
   uint64_t build_rows = 0;     ///< join build-side rows buffered/hashed
-  uint64_t groups = 0;         ///< HashNest distinct groups
+  uint64_t build_workers = 0;  ///< threads of a parallel build (0 = serial)
+  uint64_t groups = 0;         ///< HashNest distinct groups (HashNestJoin:
+                               ///< one per left row)
   uint64_t short_circuits = 0; ///< quantifier saturation stops (Reduce)
   uint64_t mem_bytes = 0;      ///< estimated bytes this operator buffered
                                ///< (join builds, nest state; 0 = stateless)

@@ -1,5 +1,6 @@
 #include "src/runtime/serialize.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <istream>
@@ -105,6 +106,11 @@ void WriteValue(std::ostream& os, const Value& v) {
 
 // -- reading ------------------------------------------------------------------
 
+// Up-front reservation for an element list whose count comes from an input
+// of unknown size (a stream dump): the count is untrusted there, so the
+// list grows as elements actually arrive beyond this.
+constexpr int64_t kMaxUntrustedReserve = 1024;
+
 class Reader {
  public:
   /// `size`, when known (>= 0), is the input's length: it bounds every
@@ -169,9 +175,19 @@ class Reader {
   std::string ReadString() {
     int64_t len = ReadCount();
     Expect(':');
-    std::string out(static_cast<size_t>(len), '\0');
-    is_.read(out.data(), len);
-    if (is_.gcount() != len) throw ParseError("dump: truncated string");
+    // In bounded chunks: with an unknown input size the length is
+    // untrusted, and a short input ends the read before memory is spent.
+    std::string out;
+    while (static_cast<int64_t>(out.size()) < len) {
+      const size_t at = out.size();
+      const size_t chunk = static_cast<size_t>(
+          std::min<int64_t>(len - static_cast<int64_t>(at), 1 << 16));
+      out.resize(at + chunk);
+      is_.read(out.data() + at, static_cast<std::streamsize>(chunk));
+      if (static_cast<size_t>(is_.gcount()) != chunk) {
+        throw ParseError("dump: truncated string");
+      }
+    }
     return out;
   }
 
@@ -203,6 +219,7 @@ class Reader {
       case 'S':
       case 'G':
       case 'L': {
+        DepthGuard guard(this);
         Expect('(');
         TypePtr elem = ReadType();
         Expect(')');
@@ -211,6 +228,7 @@ class Reader {
         return Type::List(elem);
       }
       case 'T': {
+        DepthGuard guard(this);
         int64_t n = ReadCount();
         Expect('(');
         std::vector<std::pair<std::string, TypePtr>> fields;
@@ -243,6 +261,7 @@ class Reader {
       }
       case 's': return Value::Str(ReadString());
       case 't': {
+        DepthGuard guard(this);
         int64_t n = ReadCount();
         Expect('(');
         Fields fields;
@@ -256,10 +275,12 @@ class Reader {
       case 'e':
       case 'g':
       case 'l': {
+        DepthGuard guard(this);
         int64_t n = ReadCount();
         Expect('(');
         Elems elems;
-        elems.reserve(static_cast<size_t>(n));
+        elems.reserve(static_cast<size_t>(
+            size_ >= 0 ? n : std::min(n, kMaxUntrustedReserve)));
         for (int64_t i = 0; i < n; ++i) elems.push_back(ReadValue());
         Expect(')');
         if (tag == 'e') return Value::Set(std::move(elems));
@@ -296,8 +317,24 @@ class Reader {
   }
 
  private:
+  // Counts one level of collection or tuple nesting (of a value or a type)
+  // for its lifetime; past kMaxValueDepth the input is rejected before the
+  // recursion goes deeper.
+  struct DepthGuard {
+    explicit DepthGuard(Reader* r) : r(r) {
+      if (++r->depth_ > kMaxValueDepth) {
+        --r->depth_;
+        throw ParseError("dump: nesting deeper than " +
+                         std::to_string(kMaxValueDepth) + " levels");
+      }
+    }
+    ~DepthGuard() { --r->depth_; }
+    Reader* r;
+  };
+
   std::istream& is_;
   std::streamoff size_;
+  int depth_ = 0;
 };
 
 }  // namespace

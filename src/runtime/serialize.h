@@ -31,6 +31,15 @@
 
 namespace ldb {
 
+/// Deepest nesting of collections and tuples (or of collection and tuple
+/// types) the reader accepts; deeper input is a ParseError. Reading, and
+/// every recursive pass that later walks a value (compare, hash, print,
+/// destroy), spends well under 1 KiB of stack per level, so a value at the
+/// limit needs under 256 KiB: a small slice of a server worker thread's
+/// default stack (8 MiB on Linux), while no value the engine builds nests
+/// anywhere near this deep.
+constexpr int kMaxValueDepth = 256;
+
 /// Writes the database (schema + every object, in oid order) to `os`.
 void DumpDatabase(const Database& db, std::ostream& os);
 
@@ -52,7 +61,8 @@ std::string ValueToText(const Value& v);
 
 /// Parses one value in the dump syntax; the whole string must be consumed.
 /// Throws ParseError on malformed input, including a negative count or one
-/// larger than the bytes left (checked before anything is reserved).
+/// larger than the bytes left (checked before anything is reserved) and
+/// nesting deeper than kMaxValueDepth.
 Value ValueFromText(const std::string& text);
 
 }  // namespace ldb

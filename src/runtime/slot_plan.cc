@@ -39,6 +39,7 @@ int CountOpSlots(const PhysPtr& p) {
     case PhysKind::kHashNest:
       return n + static_cast<int>(p->group_by.size()) + 1;
     case PhysKind::kRangeNestJoin:
+    case PhysKind::kHashNestJoin:
       return n + 1;
     default:
       return n;
@@ -158,7 +159,8 @@ class Compiler {
         *out_scope = std::move(s);
         break;
       }
-      case PhysKind::kRangeNestJoin: {
+      case PhysKind::kRangeNestJoin:
+      case PhysKind::kHashNestJoin: {
         // The output scope is the left scope plus the folded variable; the
         // right subtree's slots are written only while the build drains it.
         Scope ls, rs;
@@ -166,12 +168,16 @@ class Compiler {
         op->right = CompileOp(p->right, &rs);
         op->out_lo = op->left->out_lo;
         op->range_op = p->range_op;
-        op->probe_keys.push_back(CompileExpr(p->probe_keys[0], ls));
-        op->build_keys.push_back(CompileExpr(p->build_keys[0], rs));
+        for (const ExprPtr& k : p->probe_keys) {
+          op->probe_keys.push_back(CompileExpr(k, ls));
+        }
+        for (const ExprPtr& k : p->build_keys) {
+          op->build_keys.push_back(CompileExpr(k, rs));
+        }
         op->head = CompileExpr(p->head, rs);
         for (const std::string& v : p->null_vars) {
           int slot = rs.Lookup(v);
-          LDB_INTERNAL_CHECK(slot >= 0, "range nest null-var not bound");
+          LDB_INTERNAL_CHECK(slot >= 0, "nest join null-var not bound");
           op->null_slots.push_back(slot);
         }
         op->pred = CompileExpr(p->pred, ls);
@@ -339,7 +345,8 @@ void PrintSlotOp(const SlotOpPtr& op, int indent, std::ostringstream* out) {
   }
   *out << " span[" << op->out_lo << "," << op->out_hi << ")";
   if (op->kind == PhysKind::kReduce || op->kind == PhysKind::kHashNest ||
-      op->kind == PhysKind::kRangeNestJoin) {
+      op->kind == PhysKind::kRangeNestJoin ||
+      op->kind == PhysKind::kHashNestJoin) {
     *out << " monoid=" << MonoidName(op->monoid);
   }
   *out << "\n";

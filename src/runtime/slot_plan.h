@@ -62,13 +62,14 @@ struct SlotOp {
   bool build_is_left = false;
 
   // kHashNest: output slot + compiled key expression (over the child scope)
-  // per group-by column; null_slots are the resolved null_vars (for
-  // kRangeNestJoin: right-side slots whose NULL drops a build row).
+  // per group-by column; null_slots are the resolved null_vars (for the
+  // nest joins: right-side slots whose NULL drops a build row).
   std::vector<std::pair<int, CExprPtr>> group_slots;
   std::vector<int> null_slots;
 
   // kRangeNestJoin: probe_keys[0] (left scope) range_op build_keys[0]
-  // (right scope); head reads the right scope, pred the left scope.
+  // (right scope); kHashNestJoin: probe_keys[i] = build_keys[i]. For both,
+  // head reads the right scope, pred the left scope.
   BinOpKind range_op = BinOpKind::kLt;
 };
 

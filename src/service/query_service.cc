@@ -211,7 +211,7 @@ void QueryService::InitInstruments() {
       PhysKind::kNLOuterJoin,  PhysKind::kHashOuterJoin,
       PhysKind::kUnnest,       PhysKind::kOuterUnnest,
       PhysKind::kHashNest,     PhysKind::kReduce,
-      PhysKind::kRangeNestJoin,
+      PhysKind::kRangeNestJoin, PhysKind::kHashNestJoin,
   };
   for (PhysKind k : kKinds) {
     ins_.op_rows[static_cast<int>(k)] =

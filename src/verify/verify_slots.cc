@@ -92,6 +92,7 @@ class SlotChecker {
         Claim(op->var_slot, *op, "binding");
         break;
       case PhysKind::kRangeNestJoin:
+      case PhysKind::kHashNestJoin:
         Claim(op->var_slot, *op, "binding");
         break;
       default:
@@ -256,15 +257,18 @@ class SlotChecker {
         SpanContains(*op, out);
         break;
       }
-      case PhysKind::kRangeNestJoin: {
+      case PhysKind::kRangeNestJoin:
+      case PhysKind::kHashNestJoin: {
         Flow l = CheckOp(op->left, false);
         Flow r = CheckOp(op->right, false);
-        Require(op->left && op->right && op->probe_keys.size() == 1 &&
-                    op->build_keys.size() == 1,
-                "arity", "range nest-join needs two inputs and one operand "
-                "per side", *op);
-        // The operand and the residual read the left row; the build
-        // operand and the head read the right row only (the fold is shared
+        const bool range = op->kind == PhysKind::kRangeNestJoin;
+        Require(op->left && op->right && !op->probe_keys.empty() &&
+                    op->probe_keys.size() == op->build_keys.size() &&
+                    (!range || op->probe_keys.size() == 1),
+                "arity", "nest join needs two inputs and matching operands "
+                "per side (one for a range)", *op);
+        // The operands and the residual read the left row; the build
+        // operands and the head read the right row only (the fold is shared
         // by every left row, so a left read has no value to see).
         for (const CExprPtr& k : op->probe_keys) {
           CheckExpr(k, l, *op, "probe key");
@@ -278,7 +282,7 @@ class SlotChecker {
         // whose NULL marks such padding are the right input's, the ones the
         // replaced outer join would have NULL-filled.
         Require(!op->null_slots.empty(), "O7-null-zero",
-                "range nest-join without padding slots", *op);
+                "nest join without padding slots", *op);
         for (int s : op->null_slots) {
           Require(r.avail.count(s) > 0, "O7-null-zero",
                   "null-slot " + std::to_string(s) +

@@ -126,9 +126,10 @@ TEST_F(PipelineTest, EnginesAgreeOnQueryE) {
 
 TEST_F(PipelineTest, OuterJoinsAlwaysProbeWithLeft) {
   // An outer join must not flip its build side even when the left input is
-  // smaller (padding is per left row).
+  // smaller (padding is per left row). A bag-valued nest keeps the outer
+  // join; an aggregate would fuse into a HashNestJoin.
   AlgPtr logical = PlanOf(
-      "select distinct struct(D: d.name, n: count(select e from e in "
+      "select distinct struct(D: d.name, A: (select e.age from e in "
       "Employees where e.dno = d.dno)) from d in Departments");
   PhysPtr phys = PlanPhysical(logical, db_);
   EXPECT_NE(PrintPhysicalPlan(phys).find("HashOuterJoin[build=right"),

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "src/runtime/error.h"
 
 namespace ldb {
@@ -89,6 +94,58 @@ TEST(MonoidTest, IdempotentMonoidsAreIdempotentOnSamples) {
                                        : Value::Int(4);
     EXPECT_EQ(MonoidMerge(m, x, x), x) << MonoidName(m);
   }
+}
+
+TEST(MonoidTest, MaxMinCommuteOnEveryInput) {
+  // Folds in any order (sorted runs, per-worker partials) must agree, so
+  // max/min may not depend on argument order anywhere: a NaN absorbs, +0.0
+  // ranks above -0.0, and ints beyond 2^53 compare exactly. Compared as
+  // text, since Value equality calls NaN equal to every number and -0.0
+  // equal to 0.0.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  const Value samples[] = {
+      Value::Real(std::nan("")), Value::Real(-std::nan("")),
+      Value::Real(-0.0),         Value::Real(0.0),
+      Value::Int(0),             Value::Int(big),
+      Value::Int(big - 1),       Value::Real(2.5),
+      Value::Int(-3)};
+  for (MonoidKind m : {MonoidKind::kMax, MonoidKind::kMin}) {
+    for (const Value& a : samples) {
+      for (const Value& b : samples) {
+        EXPECT_EQ(MonoidMerge(m, a, b).ToString(),
+                  MonoidMerge(m, b, a).ToString())
+            << MonoidName(m) << "(" << a.ToString() << ", " << b.ToString()
+            << ")";
+      }
+    }
+  }
+  EXPECT_EQ(MonoidMerge(MonoidKind::kMax, Value::Int(big), Value::Int(big - 1)),
+            Value::Int(big));
+  EXPECT_EQ(MonoidMerge(MonoidKind::kMax, Value::Real(-0.0), Value::Real(0.0))
+                .ToString(),
+            Value::Real(0.0).ToString());
+  EXPECT_EQ(MonoidMerge(MonoidKind::kMin, Value::Real(0.0), Value::Real(-0.0))
+                .ToString(),
+            Value::Real(-0.0).ToString());
+  EXPECT_TRUE(std::isnan(
+      MonoidMerge(MonoidKind::kMin, Value::Real(1), Value::Real(std::nan("")))
+          .AsReal()));
+}
+
+TEST(MonoidTest, NonFiniteSumsCommute) {
+  // inf + -inf and NaN + NaN give a NaN whose sign depends on operand order
+  // in IEEE arithmetic; the accumulated sum must not.
+  const double inf = std::numeric_limits<double>::infinity();
+  const Value inputs[] = {Value::Real(inf), Value::Real(-inf),
+                          Value::Real(std::nan("")), Value::Real(1.5)};
+  std::vector<int> order = {0, 1, 2, 3};
+  do {
+    for (MonoidKind m : {MonoidKind::kSum, MonoidKind::kAvg}) {
+      Accumulator acc(m);
+      for (int i : order) acc.Add(inputs[i]);
+      EXPECT_EQ(acc.Finish().ToString(), "nan") << MonoidName(m);
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 TEST(MonoidTest, BagMergeIsAdditive) {

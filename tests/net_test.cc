@@ -681,6 +681,27 @@ TEST_F(NetServerTest, UnknownOpcodeGetsProtocolErrorAndConnSurvives) {
   EXPECT_EQ(r.rows[0], Value::Int(200));
 }
 
+TEST_F(NetServerTest, DeepBindValueGetsParseErrorAndConnSurvives) {
+  // 100 000 nested lists (~400 KB, well inside the frame limit) used to
+  // overflow the worker's stack in the value decoder and kill the server.
+  Harness h;
+  net::Client client;
+  client.Connect("127.0.0.1", h.port());
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "l1(";
+  deep += "N";
+  deep.append(100000, ')');
+  BindRequest bind;
+  bind.params.emplace_back("1", deep);
+  client.SendRaw(bind.Encode());
+  Frame f = client.ReadFrame();
+  ASSERT_EQ(f.opcode, Opcode::kError);
+  EXPECT_EQ(ErrorReply::Parse(f.payload).code, ErrorCode::kParse)
+      << ErrorReply::Parse(f.payload).message;
+  net::ClientResult r = client.Execute("count(select e from e in Employees)");
+  EXPECT_EQ(r.rows[0], Value::Int(200));
+}
+
 TEST_F(NetServerTest, GarbageLengthPrefixPoisonsOnlyThatConnection) {
   Harness h;
   net::Client bad;

@@ -69,13 +69,14 @@ class ProfileTest : public ::testing::Test {
 
 TEST_F(ProfileTest, Figure1StylePlanExactRows) {
   // Reduce(HashNest(HashOuterJoin(Scan(Departments), Scan(Employees)))) —
-  // the Figure 1 nested count after unnesting. Every row count is knowable
-  // by hand: 3 departments, 4 employees, Sales 2 + R&D 2 + Empty 1 (NULL
-  // pad) = 5 join rows, 3 groups.
+  // the Figure 1 nesting after unnesting, with a set-valued inner query
+  // (an aggregate would fuse into a HashNestJoin, see below). Every row
+  // count is knowable by hand: 3 departments, 4 employees, Sales 2 + R&D
+  // 2 + Empty 1 (NULL pad) = 5 join rows, 3 groups.
   ProfiledRun r = RunProfiled(
       db_,
-      "select distinct struct(D: d.name, n: count(select e from e in "
-      "Employees where e.dno = d.dno)) from d in Departments");
+      "select distinct struct(D: d.name, E: (select distinct e.name from e "
+      "in Employees where e.dno = d.dno)) from d in Departments");
   std::vector<const PhysOp*> ops;
   Preorder(r.phys, &ops);
 
@@ -97,6 +98,31 @@ TEST_F(ProfileTest, Figure1StylePlanExactRows) {
   EXPECT_EQ(r.prof.Find(0)->rows_out, 3u);  // root Reduce folds 3 group rows
   EXPECT_EQ(r.prof.parallel_mode, "serial");
   EXPECT_GT(r.prof.wall_ns, 0);
+}
+
+TEST_F(ProfileTest, NestJoinPlanExactRows) {
+  // The Figure 1 nested count: Reduce(HashNestJoin(Scan(Departments),
+  // Scan(Employees))). The build folds all 4 employees into 2 keys; each
+  // of the 3 departments is one group and one output row.
+  ProfiledRun r = RunProfiled(
+      db_,
+      "select distinct struct(D: d.name, n: count(select e from e in "
+      "Employees where e.dno = d.dno)) from d in Departments");
+  std::vector<const PhysOp*> ops;
+  Preorder(r.phys, &ops);
+  const int dept = FindOpId(ops, PhysKind::kTableScan, "Departments");
+  const int emp = FindOpId(ops, PhysKind::kTableScan, "Employees");
+  const int join = FindOpId(ops, PhysKind::kHashNestJoin);
+  ASSERT_GE(dept, 0);
+  ASSERT_GE(emp, 0);
+  ASSERT_GE(join, 0) << PrintPhysicalPlan(r.phys);
+  EXPECT_EQ(r.prof.Find(dept)->rows_out, 3u);
+  EXPECT_EQ(r.prof.Find(emp)->rows_out, 4u);
+  EXPECT_EQ(r.prof.Find(join)->build_rows, 4u);
+  EXPECT_EQ(r.prof.Find(join)->groups, 3u);
+  EXPECT_EQ(r.prof.Find(join)->rows_out, 3u);
+  EXPECT_EQ(r.prof.Find(join)->build_workers, 0u);  // serial build
+  EXPECT_EQ(r.prof.Find(0)->rows_out, 3u);
 
   // Every operator in the plan registered stats.
   EXPECT_EQ(r.prof.Operators().size(), ops.size());

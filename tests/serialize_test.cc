@@ -105,6 +105,55 @@ TEST(SerializeTest, MalformedInputsRejected) {
                ParseError);
 }
 
+// `depth` lists nested one inside the next around a NULL.
+std::string NestedListText(int depth) {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += "l1(";
+  out += "N";
+  out.append(static_cast<size_t>(depth), ')');
+  return out;
+}
+
+TEST(SerializeTest, DeepNestingRejectedAtTheLimit) {
+  // 100 000 levels (~400 KB) used to overflow the stack of whatever thread
+  // decoded them; past kMaxValueDepth the reader stops with a ParseError.
+  EXPECT_THROW(ValueFromText(NestedListText(100000)), ParseError);
+  EXPECT_THROW(ValueFromText(NestedListText(kMaxValueDepth + 1)), ParseError);
+  std::string tuples;
+  for (int i = 0; i <= kMaxValueDepth; ++i) tuples += "t1(1:a";
+  EXPECT_THROW(ValueFromText(tuples), ParseError);
+  // A value at the limit round-trips.
+  Value deep = ValueFromText(NestedListText(kMaxValueDepth));
+  EXPECT_EQ(ValueToText(deep), NestedListText(kMaxValueDepth));
+  EXPECT_EQ(ValueFromText(ValueToText(deep)), deep);
+  // Types nest under the same limit (a dump's attribute types).
+  auto dump_with_type = [](int depth) {
+    std::string type;
+    for (int i = 0; i < depth; ++i) type += "S(";
+    type += "i";
+    type.append(static_cast<size_t>(depth), ')');
+    return "lambdadb-dump 1\nclass K Ks 1\nattr 1:a " + type +
+           "\nobjects K 0\nend\n";
+  };
+  EXPECT_THROW(LoadDatabaseFromString(dump_with_type(100000)), ParseError);
+  EXPECT_THROW(LoadDatabaseFromString(dump_with_type(kMaxValueDepth + 1)),
+               ParseError);
+  Database db = LoadDatabaseFromString(dump_with_type(kMaxValueDepth));
+  EXPECT_EQ(DumpDatabaseToString(db), dump_with_type(kMaxValueDepth));
+}
+
+TEST(SerializeTest, StreamLoadDoesNotTrustElementCounts) {
+  // A stream load cannot bound a count by the bytes left, so a huge count
+  // reserves only a little and the short input then fails the read.
+  const std::string head =
+      "lambdadb-dump 1\nclass Person Persons 2\nattr 4:name s\nattr 3:age "
+      "i\nobjects Person 1\n";
+  EXPECT_THROW(LoadDatabaseFromString(head + "l1000000000000(I1;)\nend\n"),
+               ParseError);
+  EXPECT_THROW(LoadDatabaseFromString(head + "s1000000000000:abc\nend\n"),
+               ParseError);
+}
+
 TEST(SerializeTest, ValueFromTextRejectsHostileCounts) {
   // BIND values arrive as text from clients. An element count must be
   // rejected before anything is reserved for it: negative, larger than the

@@ -338,6 +338,38 @@ TEST(VerifySlotPlanTest, RangeNestJoinHeadReadingLeftSlotRejected) {
   EXPECT_EQ(r.findings[0].rule, "O7-null-zero");
 }
 
+TEST(VerifySlotPlanTest, HashNestJoinBuildKeyReadingLeftSlotRejected) {
+  // P-A compiles to Reduce(HashNestJoin(scan d, scan e)). The build runs
+  // before any left row exists, so a build key over the left row's slot
+  // reads a slot nothing has written.
+  Database db = TinyCompany();
+  CompiledQuery q = CompileOQL(
+      db.schema(),
+      "select distinct struct(D: d.name, total: sum(select e.salary from e "
+      "in Employees where e.dno = d.dno)) from d in Departments");
+  SlotPlan slots = CompileSlotPlan(PlanPhysical(q.simplified, db), db);
+  ASSERT_TRUE(VerifySlotPlan(slots).ok());
+  auto join = std::const_pointer_cast<SlotOp>(slots.root->left);
+  ASSERT_EQ(join->kind, PhysKind::kHashNestJoin);
+  const int left_slot = join->left->var_slot;
+  join->build_keys = {CSlot(left_slot)};
+  VerifyReport r = VerifySlotPlan(slots);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.stage, "slot-plan");
+  EXPECT_EQ(r.findings[0].rule, "read-before-write");
+  EXPECT_NE(r.findings[0].detail.find("build key reads slot " +
+                                      std::to_string(left_slot)),
+            std::string::npos)
+      << r.findings[0].detail;
+  try {
+    r.ThrowIfFailed();
+    FAIL() << "expected VerifyError";
+  } catch (const VerifyError& e) {
+    EXPECT_EQ(e.stage(), "slot-plan");
+    EXPECT_EQ(e.rule(), "read-before-write");
+  }
+}
+
 TEST(VerifySlotPlanTest, TwoWritersOfOneSlotRejected) {
   // An NLJoin whose two scans both claim slot 0 — the static analog of two
   // concurrent pipelines writing the same frame slot.
