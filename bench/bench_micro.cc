@@ -1,12 +1,14 @@
 // Micro-benchmarks of the optimizer stages themselves (google-benchmark):
 // lexing/parsing, translation, normalization, unnesting, simplification, and
-// full compilation. The paper claims the unnesting algorithm "takes time
+// full compilation, plus value-layer probes (set canonicalization). The paper claims the unnesting algorithm "takes time
 // linear to the size of the query" (Section 8); BM_Unnest_ChainLength checks
 // that compile time grows roughly linearly in the number of nested levels.
 
 #include <benchmark/benchmark.h>
 
+#include <random>
 #include <string>
+#include <vector>
 
 #include "src/lambdadb.h"
 #include "src/workload/company.h"
@@ -178,6 +180,91 @@ void BM_Engine_Materializing_GroupBy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Engine_Materializing_GroupBy)->Arg(1000)->Arg(8000);
+
+// Value-layer probes: canonicalizing a set result. A stream of n strings or
+// 3-field tuples (about 2% duplicates, like P-JA's names) is canonicalized
+// whole (Value::Set), as 16 per-morsel runs (the parallel root reduce's
+// per-worker share), and by merging those 16 runs (its finish after the
+// join, over 1 or 4 key ranges). Args: n, tuples (0/1)[, ranges].
+Elems CanonStream(int64_t n, bool tuples) {
+  std::mt19937 rng(42);
+  const uint32_t domain = static_cast<uint32_t>(n - n / 50);
+  Elems out;
+  out.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const uint32_t k = rng() % domain;
+    Value name = Value::Str("employee-" + std::to_string(k));
+    if (!tuples) {
+      out.push_back(std::move(name));
+      continue;
+    }
+    out.push_back(Value::Tuple({{"name", std::move(name)},
+                                {"age", Value::Int(k % 60)},
+                                {"salary", Value::Real(1000.0 + k % 977)}}));
+  }
+  return out;
+}
+
+// The stream cut into 16 consecutive runs, each canonical when `sorted`.
+std::vector<Elems> CanonRuns(const Elems& stream, bool sorted) {
+  std::vector<Elems> runs(16);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    runs[i * runs.size() / stream.size()].push_back(stream[i]);
+  }
+  if (sorted) {
+    for (Elems& r : runs) CanonicalizeElems(&r, /*dedup=*/true);
+  }
+  return runs;
+}
+
+void BM_Canon_SetWhole(benchmark::State& state) {
+  const Elems stream = CanonStream(state.range(0), state.range(1) != 0);
+  Value result;
+  for (auto _ : state) {
+    state.PauseTiming();
+    result = Value();  // frees the previous result outside the timing
+    Elems copy = stream;
+    state.ResumeTiming();
+    result = Value::Set(std::move(copy));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Canon_SetWhole)->ArgsProduct({{1000, 32000}, {0, 1}});
+
+void BM_Canon_Runs16(benchmark::State& state) {
+  const std::vector<Elems> runs =
+      CanonRuns(CanonStream(state.range(0), state.range(1) != 0), false);
+  std::vector<Elems> copy;
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy = runs;
+    state.ResumeTiming();
+    for (Elems& r : copy) CanonicalizeElems(&r, /*dedup=*/true);
+    benchmark::DoNotOptimize(copy.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Canon_Runs16)->ArgsProduct({{1000, 32000}, {0, 1}});
+
+void BM_Canon_MergeRuns16(benchmark::State& state) {
+  const std::vector<Elems> runs =
+      CanonRuns(CanonStream(state.range(0), state.range(1) != 0), true);
+  const int ranges = static_cast<int>(state.range(2));
+  std::vector<Elems> copy;
+  Elems merged;
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy = runs;
+    merged = Elems();
+    state.ResumeTiming();
+    merged = MergeCanonicalRunsParallel(copy, /*dedup=*/true, ranges, nullptr);
+    benchmark::DoNotOptimize(merged.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Canon_MergeRuns16)
+    ->ArgsProduct({{1000, 32000}, {0, 1}, {1, 4}})
+    ->UseRealTime();
 
 }  // namespace
 

@@ -305,6 +305,26 @@ double ExactSum::Round() const {
 Accumulator::Accumulator(MonoidKind kind)
     : kind_(kind), current_(MonoidZero(kind)) {}
 
+Accumulator::Accumulator(const Accumulator& other)
+    : kind_(other.kind_),
+      elems_(other.elems_),
+      has_value_(other.has_value_),
+      current_(other.current_),
+      sum_(other.sum_ ? std::make_unique<ExactSum>(*other.sum_) : nullptr),
+      int_sum_(other.int_sum_),
+      sum_has_real_(other.sum_has_real_),
+      avg_count_(other.avg_count_) {}
+
+Accumulator& Accumulator::operator=(const Accumulator& other) {
+  if (this != &other) *this = Accumulator(other);
+  return *this;
+}
+
+ExactSum& Accumulator::Sum() {
+  if (!sum_) sum_ = std::make_unique<ExactSum>();
+  return *sum_;
+}
+
 void Accumulator::Add(const Value& v) {
   if (v.is_null()) return;  // NULL contributes the zero element
   switch (kind_) {
@@ -314,14 +334,14 @@ void Accumulator::Add(const Value& v) {
       elems_.push_back(v);
       return;
     case MonoidKind::kAvg:
-      sum_.Add(v.AsNumeric());
+      Sum().Add(v.AsNumeric());
       avg_count_ += 1;
       return;
     case MonoidKind::kSum:
       if (v.kind() == Value::Kind::kInt) {
         int_sum_ += v.AsInt();
       } else {
-        sum_.Add(v.AsNumeric());
+        Sum().Add(v.AsNumeric());
         sum_has_real_ = true;
       }
       has_value_ = true;
@@ -364,12 +384,12 @@ void Accumulator::Absorb(const Accumulator& other) {
       elems_.insert(elems_.end(), other.elems_.begin(), other.elems_.end());
       return;
     case MonoidKind::kAvg:
-      sum_.Absorb(other.sum_);
+      if (other.sum_) Sum().Absorb(*other.sum_);
       avg_count_ += other.avg_count_;
       return;
     case MonoidKind::kSum:
       int_sum_ += other.int_sum_;
-      sum_.Absorb(other.sum_);
+      if (other.sum_) Sum().Absorb(*other.sum_);
       sum_has_real_ = sum_has_real_ || other.sum_has_real_;
       has_value_ = has_value_ || other.has_value_;
       return;
@@ -377,6 +397,22 @@ void Accumulator::Absorb(const Accumulator& other) {
       if (other.has_value_) Add(other.current_);
       return;
   }
+}
+
+void Accumulator::Absorb(Accumulator&& other) {
+  LDB_INTERNAL_CHECK(other.kind_ == kind_, "absorbing mismatched monoids");
+  if (IsCollectionMonoid(kind_)) {
+    if (elems_.empty()) {
+      elems_ = std::move(other.elems_);
+    } else {
+      elems_.insert(elems_.end(), std::make_move_iterator(other.elems_.begin()),
+                    std::make_move_iterator(other.elems_.end()));
+    }
+    return;
+  }
+  // Absorbing into no exact sum is taking the other one over.
+  if (!sum_) sum_ = std::move(other.sum_);
+  Absorb(static_cast<const Accumulator&>(other));
 }
 
 bool Accumulator::Saturated() const {
@@ -396,12 +432,12 @@ Value Accumulator::Finish() {
     case MonoidKind::kList: return Value::List(std::move(elems_));
     case MonoidKind::kAvg:
       if (avg_count_ == 0) return Value::Null();
-      return Value::Real(sum_.Round() / static_cast<double>(avg_count_));
+      return Value::Real(sum_->Round() / static_cast<double>(avg_count_));
     case MonoidKind::kSum:
       // Result is an int iff every input was an int (the zero is Int(0)).
       if (!sum_has_real_) return Value::Int(int_sum_);
       {
-        ExactSum total = sum_;
+        ExactSum total = *sum_;
         total.AddInt(int_sum_);
         return Value::Real(total.Round());
       }

@@ -19,6 +19,7 @@
 #ifndef LAMBDADB_CORE_MONOID_H_
 #define LAMBDADB_CORE_MONOID_H_
 
+#include <memory>
 #include <string>
 
 #include "src/core/type.h"
@@ -119,9 +120,17 @@ class ExactSum {
 /// definition — callers must absorb partials in stream order) and kProd
 /// (floating-point products are merged left-to-right, so partials must also
 /// arrive in stream order for bit-reproducibility).
+///
+/// The ExactSum lives out of line and is created by the first real-valued
+/// add, so counts, int sums, max/min and collections stay small (a
+/// HashNestJoin holds one accumulator per group).
 class Accumulator {
  public:
   explicit Accumulator(MonoidKind kind);
+  Accumulator(const Accumulator& other);
+  Accumulator& operator=(const Accumulator& other);
+  Accumulator(Accumulator&&) noexcept = default;
+  Accumulator& operator=(Accumulator&&) noexcept = default;
 
   /// Accumulates unit(v). NULL values are identities: they are skipped (this
   /// is the "nest converts nulls into zeros" behaviour from Section 3).
@@ -136,6 +145,14 @@ class Accumulator {
   /// other's inputs here directly (for kList/kProd: when absorbed in stream
   /// order).
   void Absorb(const Accumulator& other);
+  /// Absorb that moves collection elements (and the exact sum) out of
+  /// `other` instead of copying them; `other` is left valid but unspecified.
+  void Absorb(Accumulator&& other);
+
+  /// The collection elements added so far, in stream order, moved out
+  /// (collection monoids; the accumulator is left empty). Lets a caller
+  /// canonicalize and merge partial results itself.
+  Elems TakeElems() { return std::move(elems_); }
 
   /// True if the result can no longer change (false seen under kAll, true
   /// under kSome); lets evaluators short-circuit quantifiers.
@@ -147,11 +164,13 @@ class Accumulator {
   MonoidKind kind() const { return kind_; }
 
  private:
+  ExactSum& Sum();      // sum_, created on first use
+
   MonoidKind kind_;
   Elems elems_;         // collection monoids
   bool has_value_ = false;
   Value current_;       // kProd/kMax/kMin/kSome/kAll
-  ExactSum sum_;        // kSum (real part) and kAvg
+  std::unique_ptr<ExactSum> sum_;  // kSum (real part) and kAvg; lazily made
   int64_t int_sum_ = 0;  // kSum over ints stays exact 64-bit integer
   bool sum_has_real_ = false;
   int64_t avg_count_ = 0;  // kAvg

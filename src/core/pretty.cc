@@ -284,7 +284,9 @@ void ExplainWalk(const PhysPtr& op, int indent, int* next_id,
     if (s->groups > 0) a << "  groups=" << s->groups;
     if (s->short_circuits > 0) a << "  short_circuit=" << s->short_circuits;
     if (s->mem_bytes > 0) a << "  mem=" << s->mem_bytes << "B";
-    a << "  time=" << FormatMs(static_cast<double>(s->open_ns + s->next_ns));
+    if (s->merge_ns > 0) a << "  merge=" << FormatMs(s->merge_ns);
+    a << "  time="
+      << FormatMs(static_cast<double>(s->open_ns + s->next_ns + s->merge_ns));
   } else {
     a << "(no stats)";
   }

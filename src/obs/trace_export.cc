@@ -141,14 +141,16 @@ std::string TraceEventsJson(const QueryProfiler& prof,
     char args[256];
     std::snprintf(args, sizeof args,
                   "{\"rows_out\": %llu, \"opens\": %llu, \"next_calls\": "
-                  "%llu, \"build_rows\": %llu, \"groups\": %llu}",
+                  "%llu, \"build_rows\": %llu, \"groups\": %llu, "
+                  "\"merge_us\": %.3f}",
                   static_cast<unsigned long long>(s->rows_out),
                   static_cast<unsigned long long>(s->opens),
                   static_cast<unsigned long long>(s->next_calls),
                   static_cast<unsigned long long>(s->build_rows),
-                  static_cast<unsigned long long>(s->groups));
+                  static_cast<unsigned long long>(s->groups),
+                  s->merge_ns / 1000.0);
     w.Span(kOperatorPid, tid, PhysKindName(s->kind), 0,
-           (s->open_ns + s->next_ns) / 1000.0, args);
+           (s->open_ns + s->next_ns + s->merge_ns) / 1000.0, args);
   }
 
   os << "\n]}";

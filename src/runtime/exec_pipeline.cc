@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <exception>
@@ -827,11 +828,8 @@ using JoinTable = std::unordered_map<Value, std::vector<BufRow>, ValueHash>;
 // matches the keys below it), a suffix fold for `<`/`<=` (the keys above).
 struct RangeTable {
   std::vector<std::pair<Value, Value>> rows;  // (key, head)
-  std::vector<Value> folds;  // folds[i]: rows [0, i] or [i, n); sorted only
+  std::vector<Value> folds;  // folds[i]: rows [0, i] or [i, n)
   Value zero;                // the fold of no rows
-  // False when a NaN makes Value::Compare no strict weak order: rows stay
-  // in build order and every probe scans them the way the NL join would.
-  bool sorted = true;
 };
 
 // Build side of a kHashNestJoin (docs/EXECUTOR.md, "HashNestJoin"): per
@@ -1011,43 +1009,13 @@ bool FoldBuildRow(const SlotOp& op, FrameEvaluator* fev, Frame& frame,
   return true;
 }
 
-bool HasNaN(const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::kReal:
-      return std::isnan(v.AsReal());
-    case Value::Kind::kTuple:
-      for (const auto& [name, f] : v.AsTuple()) {
-        if (HasNaN(f)) return true;
-      }
-      return false;
-    case Value::Kind::kSet:
-    case Value::Kind::kBag:
-    case Value::Kind::kList:
-      for (const Value& e : v.AsElems()) {
-        if (HasNaN(e)) return true;
-      }
-      return false;
-    default:
-      return false;
-  }
-}
-
-// The fold for a left row whose operand is `l`; points into the table or
-// at *scratch.
+// The fold for a left row whose operand is `l`; points into the table.
+// Value::Compare is a total order (NaN included), so the comparison the
+// nested loop would apply row by row is monotone along the sorted keys.
 const Value* ProbeRangeTable(const RangeTable& t, const SlotOp& op,
-                             const Value& l, Value* scratch) {
+                             const Value& l) {
   if (l.is_null()) return &t.zero;
   const auto& rows = t.rows;
-  // A NaN inside a composite operand can make the comparison non-monotone
-  // along the sorted keys, so such a probe scans too.
-  if (!t.sorted || HasNaN(l)) {
-    Accumulator acc(op.monoid);
-    for (const auto& [key, head] : rows) {
-      if (ApplyCompareOp(op.range_op, l, key).AsBool()) acc.Add(head);
-    }
-    *scratch = acc.Finish();
-    return scratch;
-  }
   // First row whose key is >= l (lower) or > l (upper).
   auto lower = [&] {
     return static_cast<size_t>(
@@ -1120,12 +1088,6 @@ uint64_t BuildRangeTable(const SlotOp& op, FrameIter* right,
   right->Close();
 
   t->zero = Accumulator(op.monoid).Finish();
-  for (const auto& [key, head] : t->rows) {
-    if (HasNaN(key)) {
-      t->sorted = false;
-      return drained;
-    }
-  }
   std::stable_sort(t->rows.begin(), t->rows.end(),
                    [](const auto& a, const auto& b) {
                      return Value::Compare(a.first, b.first) < 0;
@@ -1658,10 +1620,10 @@ class FRangeNestJoinIter : public FrameIter {
   bool Next() override {
     if (!left_->Next()) return false;
     const Value* fold = &table_->zero;
-    Value scratch, fold_scratch;
+    Value scratch;
     if (fev_->EvalPred(*op_.pred, *frame_)) {
       const Value* l = fev_->EvalPtr(*op_.probe_keys[0], *frame_, &scratch);
-      fold = ProbeRangeTable(*table_, op_, *l, &fold_scratch);
+      fold = ProbeRangeTable(*table_, op_, *l);
     }
     (*frame_)[op_.var_slot] = *fold;
     return true;
@@ -2400,7 +2362,7 @@ int ParallelFoldBuild(const SlotOp& op, const ParallelBuild& par,
   for (FoldTable& part : parts) {
     for (auto& [key, g] : part) {
       auto [it, inserted] = t->try_emplace(key, std::move(g));
-      if (!inserted) it->second.acc.Absorb(g.acc);
+      if (!inserted) it->second.acc.Absorb(std::move(g.acc));
     }
   }
   return n_workers;
@@ -2424,6 +2386,33 @@ void BuildFoldTable(const SlotOp& op, FrameIter* right,
   }
   for (auto& [key, g] : *t) g.fold = g.acc.Finish();
   if (stats) stats->mem_bytes += *charged - before;
+}
+
+// Collection roots with fewer elements than this merge on the calling
+// thread: below it a thread start costs more than the merge it would share.
+constexpr size_t kParallelMergeMinElems = 4096;
+
+// The root result from per-morsel collection runs, taken in morsel order:
+// list runs concatenate; set/bag runs, canonical already, merge over up to
+// `n_workers` key ranges.
+Value FinishRootRuns(MonoidKind monoid, std::vector<Elems>& runs,
+                     int n_workers, const CancelToken* cancel) {
+  size_t total = 0;
+  for (const Elems& r : runs) total += r.size();
+  if (monoid == MonoidKind::kList) {
+    Elems out;
+    out.reserve(total);
+    for (Elems& r : runs) {
+      out.insert(out.end(), std::make_move_iterator(r.begin()),
+                 std::make_move_iterator(r.end()));
+    }
+    return Value::List(std::move(out));
+  }
+  const bool dedup = monoid == MonoidKind::kSet;
+  const int n_ranges = total >= kParallelMergeMinElems ? n_workers : 1;
+  Elems merged = MergeCanonicalRunsParallel(runs, dedup, n_ranges, cancel);
+  return dedup ? Value::SetFromCanonical(std::move(merged))
+               : Value::BagFromCanonical(std::move(merged));
 }
 
 // True if a parallel run of this plan is guaranteed bit-identical to the
@@ -2544,13 +2533,28 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
 
   if (!spine.lowest_nest) {
     // Mode A: workers run the whole spine including the root reduce; one
-    // partial accumulator per morsel, merged in morsel order.
-    std::vector<std::optional<Accumulator>> parts(n_morsels);
+    // partial per morsel. Scalar partials merge in morsel order. A
+    // collection root keeps each morsel's elements as a run: a set or bag
+    // run is canonicalized in its worker, and the runs merge after the join
+    // (docs/EXECUTOR.md, "Canonical collection results"); list runs
+    // concatenate in morsel order.
+    const bool fold_coll = IsCollectionMonoid(root->monoid);
+    std::vector<std::optional<Accumulator>> parts(fold_coll ? 0 : n_morsels);
+    std::vector<Elems> runs(fold_coll ? n_morsels : 0);
     // Collection-monoid fold charges, recorded per morsel slot as they are
     // applied (each slot is written by exactly one worker) and released when
     // the partials die with this scope — merged or unwound alike.
     std::vector<size_t> part_charged(n_morsels, 0);
-    const bool fold_coll = IsCollectionMonoid(root->monoid);
+    auto store_part = [&](size_t idx, Accumulator& acc) {
+      if (!fold_coll) {
+        parts[idx].emplace(std::move(acc));
+        return;
+      }
+      runs[idx] = acc.TakeElems();
+      if (root->monoid != MonoidKind::kList) {
+        CanonicalizeElems(&runs[idx], root->monoid == MonoidKind::kSet);
+      }
+    };
     struct PartsChargeGuard {
       const ExecOptions* opt;
       const std::vector<size_t>* charged;
@@ -2600,7 +2604,7 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
                    // the fold-charge guard releases against the context
                    // directly, so nothing may stay batched past the join.
                    w.fev.mem().Flush();
-                   parts[idx].emplace(std::move(acc));
+                   store_part(idx, acc);
                    if (opt.resource != nullptr) opt.resource->AddRows(plain_rows);
                    if (track) record_morsel(w, idx, lo, hi, plain_rows, t0);
                    return;
@@ -2631,25 +2635,36 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
                  rstats->rows_out += folded;
                  w.pipe->Close();
                  w.fev.mem().Flush();
-                 parts[idx].emplace(std::move(acc));
+                 store_part(idx, acc);
                  if (opt.resource != nullptr) opt.resource->AddRows(folded);
                  record_morsel(w, idx, lo, hi, folded, t0);
                });
     };
+    double merge_ns = 0;
     try {
       run_a();
+      const auto merge0 = ProfClock::now();
+      if (fold_coll) {
+        *out = FinishRootRuns(root->monoid, runs, n_workers, opt.cancel);
+      } else {
+        Accumulator final_acc(root->monoid);
+        for (std::optional<Accumulator>& p : parts) {
+          if (p) final_acc.Absorb(std::move(*p));
+        }
+        *out = final_acc.Finish();
+      }
+      merge_ns = NsSince(merge0);
     } catch (...) {
       // Cancellation (or any per-morsel error) still merges the worker
       // profilers into *uprof — exactly once — before the unwind continues.
       finish("spine-reduce", /*rows_are_root=*/true);
       throw;
     }
-    Accumulator final_acc(root->monoid);
-    for (std::optional<Accumulator>& p : parts) {
-      if (p) final_acc.Absorb(*p);
-    }
     finish("spine-reduce", /*rows_are_root=*/true);
-    *out = final_acc.Finish();
+    if (profiling) {
+      uprof->Register(root->id, PhysKind::kReduce, "Reduce")->merge_ns +=
+          merge_ns;
+    }
     return true;
   }
 
@@ -2716,10 +2731,10 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
       auto [it, inserted] =
           merged.index.emplace(Value::List(g.key), merged.groups.size());
       if (inserted) {
-        merged.groups.push_back(
-            NestGroup{std::move(g.key), Accumulator(nest.monoid)});
+        merged.groups.push_back(NestGroup{std::move(g.key), std::move(g.acc)});
+      } else {
+        merged.groups[it->second].acc.Absorb(std::move(g.acc));
       }
-      merged.groups[it->second].acc.Absorb(g.acc);
     }
   }
   finish("spine-nest", /*rows_are_root=*/false);
@@ -2883,6 +2898,117 @@ Value ExecutePipelined(const PhysPtr& plan, const Database& db,
     return ExecuteEnvPipeline(plan, db, options);
   }
   return ExecuteSlotPlan(CompileSlotPlan(plan, db), db, options);
+}
+
+Elems MergeCanonicalRunsParallel(std::vector<Elems>& runs, bool dedup,
+                                 int n_ranges, const CancelToken* cancel) {
+  std::vector<ElemSlice> whole;
+  size_t total = 0;
+  for (Elems& r : runs) {
+    if (r.empty()) continue;
+    whole.push_back(ElemSlice{r.data(), r.data() + r.size()});
+    total += r.size();
+  }
+  // Splitters: every stride-th element of every run (so a run weighs in
+  // proportion to its size), sorted; the n_ranges - 1 quantiles cut the key
+  // space. They point into the runs, which is safe: every cut point below
+  // is found before any value moves.
+  const size_t ranges = n_ranges > 1 ? static_cast<size_t>(n_ranges) : 1;
+  const size_t stride = std::max<size_t>(1, total / (ranges * 16));
+  std::vector<const Value*> samples;
+  for (const ElemSlice& r : whole) {
+    const size_t n = static_cast<size_t>(r.last - r.first);
+    for (size_t i = stride / 2; i < n; i += stride) samples.push_back(r.first + i);
+  }
+  if (ranges == 1 || samples.size() < ranges) {
+    PollCancel(cancel);
+    Elems out;
+    MergeCanonicalRuns(whole, dedup, &out);
+    return out;
+  }
+  std::sort(samples.begin(), samples.end(), [](const Value* a, const Value* b) {
+    return Value::Compare(*a, *b) < 0;
+  });
+  // slices[k][i]: run i's part of range k. lower_bound sends every value
+  // compare-equal to a splitter to the range above it in every run, so
+  // duplicates never straddle two ranges and each range dedups on its own.
+  std::vector<std::vector<ElemSlice>> slices(ranges, whole);
+  for (size_t i = 0; i < whole.size(); ++i) {
+    Value* lo = whole[i].first;
+    for (size_t k = 0; k < ranges; ++k) {
+      Value* hi = whole[i].last;
+      if (k + 1 < ranges) {
+        const Value& splitter = *samples[(k + 1) * samples.size() / ranges];
+        hi = std::lower_bound(lo, whole[i].last, splitter,
+                              [](const Value& v, const Value& s) {
+                                return Value::Compare(v, s) < 0;
+                              });
+      }
+      slices[k][i] = ElemSlice{lo, hi};
+      lo = hi;
+    }
+  }
+  // One thread per range merges into a local vector (the parts' headers
+  // share cache lines; a merge writes its end pointer once per value).
+  // Meanwhile this thread sizes the result for the case that no value is
+  // dropped: first-touching that fresh memory costs about as much as the
+  // merges, so it overlaps them. After the barrier every part's size is
+  // known, and each range thread moves its part into place.
+  std::vector<Elems> parts(ranges);
+  std::vector<std::exception_ptr> merge_errors(ranges + 1);  // [ranges]: ours
+  std::vector<std::exception_ptr> place_errors(ranges);
+  Elems out;
+  std::barrier merged(static_cast<std::ptrdiff_t>(ranges + 1));
+  auto run_range = [&](size_t k) {
+    try {
+      PollCancel(cancel);
+      Elems local;
+      MergeCanonicalRuns(slices[k], dedup, &local);
+      parts[k] = std::move(local);
+    } catch (...) {
+      merge_errors[k] = std::current_exception();
+    }
+    merged.arrive_and_wait();
+    for (const std::exception_ptr& e : merge_errors) {
+      if (e) return;
+    }
+    try {
+      PollCancel(cancel);
+      size_t at = 0;
+      for (size_t j = 0; j < k; ++j) at += parts[j].size();
+      std::move(parts[k].begin(), parts[k].end(), out.begin() + at);
+    } catch (...) {
+      place_errors[k] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::thread> threads;
+    struct JoinAll {
+      std::vector<std::thread>* threads;
+      ~JoinAll() {
+        for (std::thread& t : *threads) t.join();
+      }
+    } join_all{&threads};
+    threads.reserve(ranges);
+    try {
+      while (threads.size() < ranges) threads.emplace_back(run_range, threads.size());
+      out.resize(total);
+    } catch (...) {
+      merge_errors[ranges] = std::current_exception();
+    }
+    // A range whose thread never started leaves the barrier's count.
+    for (size_t k = threads.size(); k < ranges; ++k) merged.arrive_and_drop();
+    merged.arrive_and_wait();
+  }
+  for (const auto* errors : {&merge_errors, &place_errors}) {
+    for (const std::exception_ptr& e : *errors) {
+      if (e) std::rethrow_exception(e);
+    }
+  }
+  size_t kept = 0;
+  for (const Elems& p : parts) kept += p.size();
+  out.resize(kept);
+  return out;
 }
 
 }  // namespace ldb

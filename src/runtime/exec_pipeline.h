@@ -61,6 +61,16 @@ Value ExecutePipelined(const PhysPtr& plan, const Database& db,
 Value ExecuteSlotPlan(const SlotPlan& plan, const Database& db,
                       const ExecOptions& options = {});
 
+/// Merges canonical runs exactly as MergeCanonicalRuns (value.h) does, over
+/// `n_ranges` threads: splitters sampled from the runs cut every run into
+/// disjoint key ranges (all cut points are found before any value moves),
+/// each range merges on its own thread, and the ranges concatenate by move.
+/// Values are moved out of `runs`. Polls `cancel` before each range's merge
+/// and between the concatenated ranges; every thread is joined before an
+/// exception leaves. The parallel root reduce uses it for set/bag roots.
+Elems MergeCanonicalRunsParallel(std::vector<Elems>& runs, bool dedup,
+                                 int n_ranges, const CancelToken* cancel);
+
 }  // namespace ldb
 
 #endif  // LAMBDADB_RUNTIME_EXEC_PIPELINE_H_

@@ -18,6 +18,7 @@ void OperatorStats::MergeFrom(const OperatorStats& o) {
   rows_out += o.rows_out;
   open_ns += o.open_ns;
   next_ns += o.next_ns;
+  merge_ns += o.merge_ns;
   build_rows += o.build_rows;
   build_workers = std::max(build_workers, o.build_workers);
   groups += o.groups;
@@ -266,6 +267,8 @@ std::string ProfileToJson(const QueryProfiler& prof) {
     JsonDouble(s->open_ns, os);
     os << ", \"next_ns\": ";
     JsonDouble(s->next_ns, os);
+    os << ", \"merge_ns\": ";
+    JsonDouble(s->merge_ns, os);
     os << ", \"build_rows\": " << s->build_rows
        << ", \"build_workers\": " << s->build_workers
        << ", \"groups\": " << s->groups
@@ -339,6 +342,7 @@ QueryProfiler ProfileFromJson(const std::string& json) {
           else if (f == "rows_out") tmp.rows_out = r.ParseUint();
           else if (f == "open_ns") tmp.open_ns = r.ParseNumber();
           else if (f == "next_ns") tmp.next_ns = r.ParseNumber();
+          else if (f == "merge_ns") tmp.merge_ns = r.ParseNumber();
           else if (f == "build_rows") tmp.build_rows = r.ParseUint();
           else if (f == "build_workers") tmp.build_workers = r.ParseUint();
           else if (f == "groups") tmp.groups = r.ParseUint();

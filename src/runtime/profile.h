@@ -49,6 +49,8 @@ struct OperatorStats {
   uint64_t rows_out = 0;       ///< rows produced (Next() == true)
   double open_ns = 0;          ///< time in Open() — hash/buffer builds
   double next_ns = 0;          ///< cumulative time in Next(), children incl.
+  double merge_ns = 0;         ///< parallel Reduce: merging the per-morsel
+                               ///< partials into the result after the join
 
   uint64_t build_rows = 0;     ///< join build-side rows buffered/hashed
   uint64_t build_workers = 0;  ///< threads of a parallel build (0 = serial)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <sstream>
 
 #include "src/runtime/error.h"
@@ -13,16 +14,131 @@ namespace {
 
 int KindRank(Value::Kind k) { return static_cast<int>(k); }
 
-void SortCanonical(Elems* elems) {
-  std::sort(elems->begin(), elems->end(),
-            [](const Value& a, const Value& b) { return Value::Compare(a, b) < 0; });
+int CompareReals(double x, double y) {
+  const bool xn = std::isnan(x), yn = std::isnan(y);
+  if (xn || yn) return xn == yn ? 0 : (xn ? 1 : -1);
+  return x < y ? -1 : x > y ? 1 : 0;
+}
+
+// An int against a double, exactly: neither side is rounded.
+int CompareIntReal(int64_t i, double d) {
+  if (std::isnan(d)) return -1;
+  if (d >= 0x1p63) return -1;
+  if (d < -0x1p63) return 1;
+  const double t = std::trunc(d);  // in [-2^63, 2^63): fits an int64
+  const int64_t ti = static_cast<int64_t>(t);
+  if (i != ti) return i < ti ? -1 : 1;
+  return d > t ? -1 : d < t ? 1 : 0;
 }
 
 size_t HashCombine(size_t seed, size_t h) {
   return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+// One hash per compare-equal class of numbers: an int hashes as its double,
+// which equals any real it compares equal to; every NaN and both zeros
+// hash alike.
+size_t HashNumber(double d) {
+  if (std::isnan(d)) return HashCombine(0x7f, 0x7ff8);
+  if (d == 0) d = 0.0;
+  return HashCombine(0x7f, std::hash<double>()(d));
+}
+
+// `elems` sorted by Compare: strictly ascending for a set, non-descending
+// for a bag.
+[[maybe_unused]] bool IsCanonical(const Elems& elems, bool dedup) {
+  for (size_t i = 1; i < elems.size(); ++i) {
+    const int c = Value::Compare(elems[i - 1], elems[i]);
+    if (c > 0 || (dedup && c == 0)) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+void CanonicalizeElems(Elems* elems, bool dedup) {
+  Elems& e = *elems;
+  const size_t n = e.size();
+  size_t in_order = 1;  // length of the sorted prefix
+  while (in_order < n && Value::Compare(e[in_order - 1], e[in_order]) <= 0) {
+    ++in_order;
+  }
+  if (in_order >= n) {  // already sorted: at most adjacent duplicates
+    if (dedup) {
+      e.erase(std::unique(e.begin(), e.end(),
+                          [](const Value& a, const Value& b) {
+                            return Value::Compare(a, b) == 0;
+                          }),
+              e.end());
+    }
+    return;
+  }
+  // Sort a permutation (stable: compare-equal values keep stream order),
+  // then move every value into place once.
+  std::vector<size_t> perm(n);
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  std::stable_sort(perm.begin(), perm.end(), [&e](size_t a, size_t b) {
+    return Value::Compare(e[a], e[b]) < 0;
+  });
+  Elems out;
+  out.reserve(n);
+  for (size_t i : perm) {
+    if (dedup && !out.empty() && Value::Compare(out.back(), e[i]) == 0) continue;
+    out.push_back(std::move(e[i]));
+  }
+  e = std::move(out);
+}
+
+void MergeCanonicalRuns(const std::vector<ElemSlice>& runs, bool dedup,
+                        Elems* out) {
+  std::vector<ElemSlice> live;
+  size_t total = 0;
+  for (const ElemSlice& r : runs) {
+    if (r.first == r.last) continue;
+    live.push_back(r);
+    total += static_cast<size_t>(r.last - r.first);
+  }
+  if (live.empty()) return;
+  out->reserve(out->size() + total);
+  const size_t base = out->size();
+  auto emit = [&](Value& v) {
+    if (dedup && out->size() > base && Value::Compare(out->back(), v) == 0) {
+      return;
+    }
+    out->push_back(std::move(v));
+  };
+  // A min-heap of live-run indices keyed on (head value, run index): the
+  // lower run wins a tie, which keeps compare-equal values in stream order.
+  auto before = [&live](size_t a, size_t b) {
+    const int c = Value::Compare(*live[a].first, *live[b].first);
+    return c != 0 ? c < 0 : a < b;
+  };
+  std::vector<size_t> heap(live.size());
+  std::iota(heap.begin(), heap.end(), size_t{0});
+  auto sift_down = [&](size_t i) {
+    for (;;) {
+      size_t m = 2 * i + 1;
+      if (m >= heap.size()) return;
+      if (m + 1 < heap.size() && before(heap[m + 1], heap[m])) ++m;
+      if (!before(heap[m], heap[i])) return;
+      std::swap(heap[i], heap[m]);
+      i = m;
+    }
+  };
+  for (size_t i = heap.size() / 2; i-- > 0;) sift_down(i);
+  while (heap.size() > 1) {
+    ElemSlice& top = live[heap[0]];
+    emit(*top.first++);
+    if (top.first == top.last) {
+      heap[0] = heap.back();
+      heap.pop_back();
+    }
+    sift_down(0);
+  }
+  for (ElemSlice& last = live[heap[0]]; last.first != last.last; ++last.first) {
+    emit(*last.first);
+  }
+}
 
 Value Value::Bool(bool b) {
   Value v;
@@ -60,20 +176,31 @@ Value Value::Tuple(Fields fields) {
 }
 
 Value Value::Set(Elems elems) {
-  SortCanonical(&elems);
-  elems.erase(std::unique(elems.begin(), elems.end(),
-                          [](const Value& a, const Value& b) {
-                            return Compare(a, b) == 0;
-                          }),
-              elems.end());
+  CanonicalizeElems(&elems, /*dedup=*/true);
+  return SetFromCanonical(std::move(elems));
+}
+
+Value Value::Bag(Elems elems) {
+  CanonicalizeElems(&elems, /*dedup=*/false);
+  return BagFromCanonical(std::move(elems));
+}
+
+Value Value::SetFromCanonical(Elems elems) {
+#ifndef NDEBUG
+  LDB_INTERNAL_CHECK(IsCanonical(elems, /*dedup=*/true),
+                     "set elements are not canonical");
+#endif
   Value v;
   v.kind_ = Kind::kSet;
   v.elems_ = std::make_shared<const Elems>(std::move(elems));
   return v;
 }
 
-Value Value::Bag(Elems elems) {
-  SortCanonical(&elems);
+Value Value::BagFromCanonical(Elems elems) {
+#ifndef NDEBUG
+  LDB_INTERNAL_CHECK(IsCanonical(elems, /*dedup=*/false),
+                     "bag elements are not canonical");
+#endif
   Value v;
   v.kind_ = Kind::kBag;
   v.elems_ = std::make_shared<const Elems>(std::move(elems));
@@ -151,13 +278,15 @@ bool Value::HasField(const std::string& name) const {
 }
 
 int Value::Compare(const Value& a, const Value& b) {
-  // Numeric values of different kinds (int vs real) compare by numeric value
-  // so that 3 == 3.0; everything else ranks by kind first.
+  // Numbers of either kind compare by exact value so that 3 == 3.0;
+  // everything else ranks by kind first.
   if (a.is_numeric() && b.is_numeric()) {
-    double x = a.AsNumeric(), y = b.AsNumeric();
-    if (x < y) return -1;
-    if (x > y) return 1;
-    return 0;
+    if (a.kind_ == Kind::kInt) {
+      if (b.kind_ == Kind::kInt) return a.i_ < b.i_ ? -1 : a.i_ > b.i_ ? 1 : 0;
+      return CompareIntReal(a.i_, b.r_);
+    }
+    if (b.kind_ == Kind::kInt) return -CompareIntReal(b.i_, a.r_);
+    return CompareReals(a.r_, b.r_);
   }
   if (a.kind_ != b.kind_) return KindRank(a.kind_) < KindRank(b.kind_) ? -1 : 1;
   switch (a.kind_) {
@@ -214,11 +343,9 @@ size_t Value::Hash() const {
     case Kind::kBool:
       return HashCombine(h, b_ ? 1 : 2);
     case Kind::kInt:
-      // Hash ints through double so that 3 and 3.0 (which compare equal) hash
-      // the same.
-      return HashCombine(0x7f, std::hash<double>()(static_cast<double>(i_)));
+      return HashNumber(static_cast<double>(i_));
     case Kind::kReal:
-      return HashCombine(0x7f, std::hash<double>()(r_));
+      return HashNumber(r_);
     case Kind::kStr:
       return HashCombine(h, std::hash<std::string>()(s_));
     case Kind::kTuple: {

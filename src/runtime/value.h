@@ -12,7 +12,12 @@
 //
 // Sets and bags are kept in a canonical order (sorted by Value::Compare; sets
 // additionally deduplicated) so that operator== is plain structural equality
-// and query results can be compared directly in tests.
+// and query results can be compared directly in tests. Compare-equal values
+// (3 and 3.0, -0.0 and 0.0, NaNs of either sign) keep their stream order:
+// the first in stream order is kept, and a set keeps only that one. Because
+// of that rule a collection can be canonicalized in pieces — per-morsel runs
+// merged in morsel order (MergeCanonicalRuns) — and still come out
+// identical to canonicalizing the whole stream at once.
 
 #ifndef LAMBDADB_RUNTIME_VALUE_H_
 #define LAMBDADB_RUNTIME_VALUE_H_
@@ -64,10 +69,16 @@ class Value {
   static Value Str(std::string s);
   /// Builds a record value from named fields (order preserved).
   static Value Tuple(Fields fields);
-  /// Builds a set: elements are sorted and deduplicated.
+  /// Builds a set: elements are sorted and deduplicated (CanonicalizeElems).
   static Value Set(Elems elems);
-  /// Builds a bag: elements are sorted, duplicates kept.
+  /// Builds a bag: elements are sorted, duplicates kept (CanonicalizeElems).
   static Value Bag(Elems elems);
+  /// Builds a set from elements already in canonical order (strictly
+  /// ascending) without sorting them again. Debug builds check the order.
+  static Value SetFromCanonical(Elems elems);
+  /// Builds a bag from elements already in canonical order (non-descending)
+  /// without sorting them again. Debug builds check the order.
+  static Value BagFromCanonical(Elems elems);
   /// Builds a list: element order is preserved.
   static Value List(Elems elems);
   /// Builds an object reference.
@@ -96,8 +107,10 @@ class Value {
   /// Returns true iff this is a tuple that has the named field.
   bool HasField(const std::string& name) const;
 
-  /// Total order over all values: kinds rank first, then contents.
-  /// Returns <0, 0, >0.
+  /// Total order over all values: kinds rank first, then contents. Numbers
+  /// of either kind compare by exact numeric value (3 == 3.0, and ints
+  /// beyond 2^53 stay distinct); NaN ranks above every other number and
+  /// equal to any NaN; -0.0 == 0.0. Returns <0, 0, >0.
   static int Compare(const Value& a, const Value& b);
 
   bool operator==(const Value& other) const { return Compare(*this, other) == 0; }
@@ -121,6 +134,25 @@ class Value {
   std::shared_ptr<const Elems> elems_;
   Ref ref_;
 };
+
+/// Puts `elems` into canonical collection order: sorted by Value::Compare,
+/// compare-equal values in their input (stream) order. With `dedup` only
+/// the first of each run of compare-equal values is kept (a set).
+void CanonicalizeElems(Elems* elems, bool dedup);
+
+/// A slice [first, last) of a canonical run, consumed by MergeCanonicalRuns.
+struct ElemSlice {
+  Value* first;
+  Value* last;
+};
+
+/// Appends the k-way merge of canonical `runs` to *out, moving each value
+/// out of its run. Ties go to the lower run index, so merging the runs of
+/// consecutive stream pieces in stream order gives exactly what
+/// CanonicalizeElems gives for the whole stream. With `dedup`, a value
+/// compare-equal to the one this call appended last is dropped.
+void MergeCanonicalRuns(const std::vector<ElemSlice>& runs, bool dedup,
+                        Elems* out);
 
 /// Hash functor so Value can key unordered containers.
 struct ValueHash {

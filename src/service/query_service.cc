@@ -1,5 +1,6 @@
 #include "src/service/query_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <sstream>
@@ -531,6 +532,15 @@ Value QueryService::Run(Session& session, const std::string& oql,
         if (n > kMaxMorselSpans)
           add(exec, "+" + std::to_string(n - kMaxMorselSpans) + " morsels",
               "worker", at + rec.exec_ms, 0);
+        // The parallel root's merge starts once the last morsel is done.
+        const OperatorStats* reduce = profiler->Find(0);
+        if (reduce != nullptr && reduce->merge_ns > 0) {
+          double joined_ns = 0;
+          for (const MorselStats& m : profiler->morsels)
+            joined_ns = std::max(joined_ns, m.start_ns + m.dur_ns);
+          add(exec, "merge", "worker", at + joined_ns / 1e6,
+              reduce->merge_ns / 1e6);
+        }
       }
       trace_ring_.Submit(std::move(t));
     }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/runtime/error.h"
+#include "src/runtime/serialize.h"
 
 namespace ldb {
 namespace {
@@ -290,6 +291,32 @@ TEST(MonoidTest, HeadConstraints) {
   EXPECT_EQ(MonoidHeadConstraint(MonoidKind::kSet), nullptr);
   EXPECT_EQ(MonoidHeadConstraint(MonoidKind::kSome)->kind(), Type::Kind::kBool);
   EXPECT_EQ(MonoidHeadConstraint(MonoidKind::kSum)->kind(), Type::Kind::kReal);
+}
+
+TEST(MonoidTest, AccumulatorStaysSmall) {
+  // The exact sum lives out of line, so a HashNestJoin group (one
+  // accumulator per key) no longer carries 67 limbs for a count.
+  EXPECT_LE(sizeof(Accumulator), 256u);
+}
+
+TEST(MonoidTest, MovingAbsorbMatchesCopyingAbsorb) {
+  const Value inputs[] = {Value::Int(3), Value::Real(2.5), Value::Null(),
+                          Value::Real(-0.0), Value::Int(-7), Value::Real(1e300)};
+  for (MonoidKind m : {MonoidKind::kSum, MonoidKind::kAvg, MonoidKind::kMax,
+                       MonoidKind::kMin, MonoidKind::kBag, MonoidKind::kSet,
+                       MonoidKind::kList, MonoidKind::kProd}) {
+    for (size_t split = 0; split <= std::size(inputs); ++split) {
+      Accumulator a(m), b(m);
+      for (size_t i = 0; i < split; ++i) a.Add(inputs[i]);
+      for (size_t i = split; i < std::size(inputs); ++i) b.Add(inputs[i]);
+      Accumulator copied = a;
+      copied.Absorb(b);
+      Accumulator moved = a;
+      moved.Absorb(std::move(b));
+      EXPECT_EQ(ValueToText(moved.Finish()), ValueToText(copied.Finish()))
+          << MonoidName(m) << " split " << split;
+    }
+  }
 }
 
 }  // namespace

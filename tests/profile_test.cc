@@ -238,6 +238,36 @@ TEST_F(ProfileTest, SerialAndParallelRowTotalsAgree) {
   }
 }
 
+TEST_F(ProfileTest, ParallelSetRootRecordsMergeTime) {
+  // A parallel set root merges its per-morsel runs after the workers join;
+  // that time lands on the Reduce operator (EXPLAIN ANALYZE, profile JSON,
+  // the operator's trace span), so busy time plus merge accounts for the
+  // wall time. A serial run has no merge.
+  workload::CompanyParams params;
+  params.n_employees = 6000;  // enough elements for the key-range merge
+  params.seed = 5;
+  Database db = workload::MakeCompanyDatabase(params);
+  const char* q = "select distinct e.name from e in Employees";
+  ProfiledRun par = RunProfiled(db, q, 4, 256);
+  ASSERT_EQ(par.prof.parallel_mode, "spine-reduce");
+  const OperatorStats* reduce = par.prof.Find(0);
+  ASSERT_NE(reduce, nullptr);
+  EXPECT_EQ(reduce->kind, PhysKind::kReduce);
+  EXPECT_GT(reduce->merge_ns, 0);
+  EXPECT_LE(reduce->merge_ns, par.prof.wall_ns);
+  const std::string json = ProfileToJson(par.prof);
+  EXPECT_NE(json.find("\"merge_ns\""), std::string::npos);
+  EXPECT_EQ(ProfileFromJson(json).Find(0)->merge_ns, reduce->merge_ns);
+  EXPECT_NE(ExplainAnalyze(par.phys, par.prof).find("merge="),
+            std::string::npos);
+  EXPECT_NE(obs::TraceEventsJson(par.prof).find("\"merge_us\""),
+            std::string::npos);
+
+  ProfiledRun serial = RunProfiled(db, q);
+  EXPECT_EQ(serial.value, par.value);
+  EXPECT_EQ(serial.prof.Find(0)->merge_ns, 0);
+}
+
 TEST_F(ProfileTest, ProfileJsonRoundTrips) {
   // Parallel run so workers/morsels/mode are populated too.
   workload::CompanyParams params;

@@ -95,8 +95,8 @@ class RangeNestTest : public ::testing::Test {
   // Returns the baseline result.
   Value Check(const ExprPtr& calculus, const std::string& expect) {
     CompiledQuery q = Compile(calculus);
-    // Compared as text: Value equality calls 3 and 3.0 (or any number and
-    // NaN) equal, the results must be identical.
+    // Compared as text: Value equality calls 3 and 3.0 (or -0.0 and 0.0)
+    // equal, the results must be identical.
     Value baseline = EvalCalculus(calculus, db_);
     const std::string expected = baseline.ToString();
     EXPECT_EQ(ExecutePlan(q.simplified, db_).ToString(), expected)
@@ -264,10 +264,11 @@ TEST_F(RangeNestTest, EveryFoldableMonoid) {
 }
 
 TEST_F(RangeNestTest, NaNOperandsAndHeadsFoldInStreamOrder) {
-  // NaN breaks Value::Compare's ordering (it compares equal to every
-  // number), so the operator must then scan the matches the way the nested
-  // loop does. "First" leads the stream with a NaN key; "Last" ends it with
-  // a NaN head but is the youngest, so it would lead an age-sorted fold.
+  // Value::Compare ranks NaN above every number, so NaN keys sort to the
+  // end of the build and a NaN operand matches by that same order, exactly
+  // as the nested loop's comparisons do. "First" leads the stream with a
+  // NaN key; "Last" ends it with a NaN head but is the youngest, so it
+  // leads an age-sorted fold.
   const double nan = std::nan("");
   Database db(workload::CompanySchema());
   auto manager = [&](const char* name, int age, double salary) {
