@@ -66,9 +66,8 @@ const Experiment kForAll{
 // comparison-heavy predicate touching every range variable. There is no
 // group table here, so per-row cost is almost entirely expression
 // evaluation over the full scope — the configuration slot compilation
-// targets: the Env engine rebuilds a string-keyed scope per joined row and
-// resolves every variable reference by string comparison, while the slot
-// engine does one vector load per reference.
+// targets: the slot engine does one vector load per variable reference
+// instead of a string-keyed scope lookup.
 const Experiment kDeep{
     "P-DEEP", "deep scopes (3-generator join, navigation-heavy predicate)",
     "select distinct struct(E: e.name, M: m.name, D: d.name) "
@@ -147,9 +146,9 @@ void RunExperiment(const Experiment& exp, MakeDb make_db,
   }
 }
 
-// The executor-engine comparison the strategy table cannot show: the same
-// unnested hash plan run through the legacy string-Env pipeline vs the
-// slot-frame engine, and the slot engine across thread counts. Thread
+// The executor timings the strategy table cannot show: the same unnested
+// hash plan run through the slot-frame engine serially and across thread
+// counts. Thread
 // scaling is only meaningful up to the usable-CPU count recorded in the
 // JSON report (containers often pin benchmarks to one core).
 template <typename MakeDb>
@@ -185,7 +184,6 @@ void RunEngineExperiment(const Experiment& exp, MakeDb make_db,
       }
       bench::JsonReporter::Get().Add(std::move(r));
     };
-    record("env-pipeline", 1, t.env_ms);
     record("slot", 1, t.slot_ms, /*with_profile=*/true);
     for (const auto& [n, ms] : t.parallel_ms) record("slot-parallel", n, ms);
   }
@@ -389,10 +387,10 @@ int main(int argc, char** argv) {
       "cost-neutral); 'unnested-hash' adds the join-algorithm choice that\n"
       "unnesting ENABLES — this is where the speedup comes from, and it\n"
       "grows with scale because the baseline is quadratic.\n"
-      "The engine tables compare the two pipelined executors on the same\n"
-      "hash plan: 'env' interprets string-keyed environments, 'slot' runs\n"
-      "the slot-compiled frame engine, 'par xN' adds morsel parallelism\n"
-      "(wall-clock gains require > 1 usable CPU; results stay identical).\n");
+      "The engine tables run the same hash plan on the pipelined executor:\n"
+      "'slot' runs the slot-compiled frame engine serially, 'par xN' adds\n"
+      "morsel parallelism (wall-clock gains require > 1 usable CPU; results\n"
+      "stay identical).\n");
   if (!bench::JsonReporter::Get().Write("bench_unnesting")) return 1;
   return 0;
 }

@@ -718,7 +718,6 @@ void Server::DoHello(const std::shared_ptr<Conn>& c, const Frame& f) {
   }
   if (req.n_threads != 0) so.n_threads = static_cast<int>(req.n_threads);
   if (req.morsel_size != 0) so.morsel_size = req.morsel_size;
-  so.use_slot_frames = req.use_slot_frames != 0;
 
   std::shared_ptr<Session> session = svc_.OpenSession(so);
   session->set_peer(c->peer);

@@ -207,7 +207,9 @@ struct HelloRequest {
   uint64_t memory_budget_bytes = 0;  ///< per-query budget (0 = default)
   uint32_t n_threads = 0;            ///< engine threads (0 = default)
   uint32_t morsel_size = 0;          ///< morsel rows (0 = default)
-  uint8_t use_slot_frames = 1;       ///< engine choice (1 = slot engine)
+  /// Read and ignored: the server has one engine. Kept so v1/v2 HELLO
+  /// frames keep their layout; any value gets the slot engine.
+  uint8_t use_slot_frames = 1;
 
   std::string Encode() const;
   static HelloRequest Parse(const std::string& payload);

@@ -3,46 +3,12 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "src/runtime/json.h"
+
 namespace ldb {
 namespace obs {
 
 namespace {
-
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::string Hex16(uint64_t v) {
   char buf[17];
@@ -59,12 +25,12 @@ std::string ActiveQueriesToJson(const std::vector<ActiveQueryInfo>& queries) {
     if (i > 0) out += ", ";
     out += "{\"query_id\": " + std::to_string(q.query_id);
     out += ", \"session\": " + std::to_string(q.session);
-    out += ", \"phase\": \"" + Escape(q.phase) + "\"";
-    out += ", \"elapsed_ms\": " + Num(q.elapsed_ms);
+    out += ", \"phase\": \"" + JsonEscape(q.phase) + "\"";
+    out += ", \"elapsed_ms\": " + JsonNumber(q.elapsed_ms);
     out += ", \"rows\": " + std::to_string(q.rows);
     out += ", \"mem_in_use_bytes\": " + std::to_string(q.mem_in_use_bytes);
     out += ", \"mem_peak_bytes\": " + std::to_string(q.mem_peak_bytes);
-    out += ", \"remote\": \"" + Escape(q.remote) + "\"}";
+    out += ", \"remote\": \"" + JsonEscape(q.remote) + "\"}";
   }
   out += "]";
   return out;
@@ -77,24 +43,24 @@ std::string QueryLogToJson(const std::vector<QueryLogRecord>& records) {
     if (i > 0) out += ",\n";
     out += "{\"id\": " + std::to_string(r.id);
     out += ", \"session\": " + std::to_string(r.session);
-    out += ", \"remote\": \"" + Escape(r.remote) + "\"";
+    out += ", \"remote\": \"" + JsonEscape(r.remote) + "\"";
     out += ", \"query_hash\": \"" + Hex16(r.query_hash) + "\"";
-    out += ", \"status\": \"" + Escape(r.status) + "\"";
-    out += ", \"error\": \"" + Escape(r.error) + "\"";
+    out += ", \"status\": \"" + JsonEscape(r.status) + "\"";
+    out += ", \"error\": \"" + JsonEscape(r.error) + "\"";
     out += ", \"plan_cached\": ";
     out += r.plan_cached ? "true" : "false";
     out += ", \"trace_id\": \"" + Hex16(r.trace_id) + "\"";
-    out += ", \"queue_wait_ms\": " + Num(r.queue_wait_ms);
-    out += ", \"queue_ms\": " + Num(r.queue_ms);
-    out += ", \"compile_ms\": " + Num(r.compile_ms);
-    out += ", \"exec_ms\": " + Num(r.exec_ms);
-    out += ", \"serialize_ms\": " + Num(r.serialize_ms);
+    out += ", \"queue_wait_ms\": " + JsonNumber(r.queue_wait_ms);
+    out += ", \"queue_ms\": " + JsonNumber(r.queue_ms);
+    out += ", \"compile_ms\": " + JsonNumber(r.compile_ms);
+    out += ", \"exec_ms\": " + JsonNumber(r.exec_ms);
+    out += ", \"serialize_ms\": " + JsonNumber(r.serialize_ms);
     out += ", \"rows\": " + std::to_string(r.rows);
     out += ", \"mem_peak_bytes\": " + std::to_string(r.mem_peak_bytes);
-    out += ", \"mem_op\": \"" + Escape(r.mem_op) + "\"";
-    out += ", \"engine\": \"" + Escape(r.engine) + "\"";
+    out += ", \"mem_op\": \"" + JsonEscape(r.mem_op) + "\"";
+    out += ", \"engine\": \"" + JsonEscape(r.engine) + "\"";
     out += ", \"threads\": " + std::to_string(r.threads);
-    out += ", \"verify\": \"" + Escape(r.verify) + "\"";
+    out += ", \"verify\": \"" + JsonEscape(r.verify) + "\"";
     out += ", \"slow\": ";
     out += r.slow ? "true" : "false";
     out += "}";

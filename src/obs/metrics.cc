@@ -1,15 +1,14 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <sstream>
 
 #include "src/runtime/error.h"
+#include "src/runtime/json.h"
 
 namespace ldb {
 namespace obs {
@@ -220,43 +219,11 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 }
 
 // ---------------------------------------------------------------------------
-// Rendering. Same hand-rolled JSON discipline as src/runtime/profile.cc:
+// Rendering. JSON goes through src/runtime/json.h, as the profiles do:
 // doubles print with %.17g so SnapshotFromJson round-trips bit-exactly.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-void JsonEscape(const std::string& s, std::ostringstream& os) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void JsonDouble(double d, std::ostringstream& os) {
-  if (!std::isfinite(d)) {
-    os << 0;  // JSON has no Inf/NaN; le=+Inf is encoded as a string instead
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  os << buf;
-}
 
 /// Prometheus `le` label value: finite bounds are exact powers of two and
 /// print as integers; the overflow bucket prints as "+Inf".
@@ -309,107 +276,6 @@ std::string RenderLabels(const std::map<std::string, std::string>& labels,
   return out;
 }
 
-// Minimal recursive-descent JSON reader (same shape as the file-local one in
-// src/runtime/profile.cc, which is deliberately not exported).
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : s_(text) {}
-
-  void ExpectObjectStart() { Skip(); Expect('{'); }
-  bool NextKey(std::string* key) {
-    Skip();
-    if (Peek() == '}') { ++pos_; return false; }
-    if (Peek() == ',') ++pos_;
-    Skip();
-    *key = ParseString();
-    Skip();
-    Expect(':');
-    return true;
-  }
-  void ExpectArrayStart() { Skip(); Expect('['); }
-  bool NextElement() {
-    Skip();
-    if (Peek() == ']') { ++pos_; return false; }
-    if (Peek() == ',') { ++pos_; Skip(); }
-    return true;
-  }
-
-  std::string ParseString() {
-    Skip();
-    Expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        char e = s_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: out += e;
-        }
-      } else {
-        out += c;
-      }
-    }
-    Expect('"');
-    return out;
-  }
-
-  double ParseNumber() {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            std::strchr("+-.eE", s_[pos_]) != nullptr)) {
-      ++pos_;
-    }
-    if (pos_ == start) throw ParseError("expected number in metrics JSON");
-    return std::strtod(s_.c_str() + start, nullptr);
-  }
-
-  uint64_t ParseUint() { return static_cast<uint64_t>(ParseNumber()); }
-
-  void SkipValue() {
-    Skip();
-    char c = Peek();
-    if (c == '"') { ParseString(); return; }
-    if (c == '{') {
-      ExpectObjectStart();
-      std::string k;
-      while (NextKey(&k)) SkipValue();
-      return;
-    }
-    if (c == '[') {
-      ExpectArrayStart();
-      while (NextElement()) SkipValue();
-      return;
-    }
-    ParseNumber();
-  }
-
- private:
-  char Peek() const {
-    if (pos_ >= s_.size()) throw ParseError("truncated metrics JSON");
-    return s_[pos_];
-  }
-  void Skip() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  void Expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      throw ParseError(std::string("metrics JSON: expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string MetricsSnapshot::ToPrometheusText() const {
@@ -459,19 +325,19 @@ std::string MetricsSnapshot::ToJson() const {
     if (!first) os << ", ";
     first = false;
     os << "{\"name\": ";
-    JsonEscape(s.name, os);
+    os << JsonQuote(s.name);
     os << ", \"type\": ";
-    JsonEscape(s.type, os);
+    os << JsonQuote(s.type);
     os << ", \"help\": ";
-    JsonEscape(s.help, os);
+    os << JsonQuote(s.help);
     os << ", \"labels\": {";
     bool lf = true;
     for (const auto& [k, v] : s.labels) {
       if (!lf) os << ", ";
       lf = false;
-      JsonEscape(k, os);
+      os << JsonQuote(k);
       os << ": ";
-      JsonEscape(v, os);
+      os << JsonQuote(v);
     }
     os << "}";
     if (s.type == "histogram") {
@@ -481,7 +347,7 @@ std::string MetricsSnapshot::ToJson() const {
         if (!bf) os << ", ";
         bf = false;
         os << "{\"le\": ";
-        JsonEscape(FormatLe(le), os);
+        os << JsonQuote(FormatLe(le));
         os << ", \"cum\": " << cum << "}";
       }
       os << "]";
@@ -492,28 +358,28 @@ std::string MetricsSnapshot::ToJson() const {
           if (!ef) os << ", ";
           ef = false;
           os << "{\"le\": ";
-          JsonEscape(FormatLe(ex.le), os);
+          os << JsonQuote(FormatLe(ex.le));
           os << ", \"trace_id\": ";
-          JsonEscape(TraceHex(ex.trace_id), os);
+          os << JsonQuote(TraceHex(ex.trace_id));
           os << ", \"value\": ";
-          JsonDouble(ex.value, os);
+          os << JsonNumber(ex.value);
           os << "}";
         }
         os << "]";
       }
       os << ", \"count\": " << s.count << ", \"sum\": ";
-      JsonDouble(s.sum, os);
+      os << JsonNumber(s.sum);
       os << ", \"max\": ";
-      JsonDouble(s.max, os);
+      os << JsonNumber(s.max);
       os << ", \"p50\": ";
-      JsonDouble(s.p50, os);
+      os << JsonNumber(s.p50);
       os << ", \"p90\": ";
-      JsonDouble(s.p90, os);
+      os << JsonNumber(s.p90);
       os << ", \"p99\": ";
-      JsonDouble(s.p99, os);
+      os << JsonNumber(s.p99);
     } else {
       os << ", \"value\": ";
-      JsonDouble(s.value, os);
+      os << JsonNumber(s.value);
     }
     os << "}";
   }
@@ -523,7 +389,7 @@ std::string MetricsSnapshot::ToJson() const {
 
 MetricsSnapshot SnapshotFromJson(const std::string& json) {
   MetricsSnapshot snap;
-  JsonReader r(json);
+  JsonReader r(json, "metrics JSON");
   r.ExpectObjectStart();
   std::string key;
   while (r.NextKey(&key)) {

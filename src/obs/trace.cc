@@ -6,6 +6,8 @@
 #include <functional>
 #include <thread>
 
+#include "src/runtime/json.h"
+
 namespace ldb {
 namespace obs {
 
@@ -53,36 +55,6 @@ uint64_t TraceIdFromHex(const std::string& hex) {
 
 namespace {
 
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string Ms(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -103,8 +75,8 @@ int LaneTid(std::vector<std::string>* lanes, const std::string& lane) {
 std::string SpanJson(const TraceSpan& s) {
   std::string out = "{\"span_id\":" + std::to_string(s.span_id);
   out += ",\"parent_span_id\":" + std::to_string(s.parent_span_id);
-  out += ",\"name\":\"" + Escape(s.name) + "\"";
-  out += ",\"lane\":\"" + Escape(s.lane) + "\"";
+  out += ",\"name\":\"" + JsonEscape(s.name) + "\"";
+  out += ",\"lane\":\"" + JsonEscape(s.lane) + "\"";
   out += ",\"start_ms\":" + Ms(s.start_ms);
   out += ",\"dur_ms\":" + Ms(s.dur_ms);
   out += "}";
@@ -115,8 +87,8 @@ std::string TraceJson(const RequestTrace& t) {
   std::string out = "{\"trace_id\":\"" + TraceIdHex(t.trace_id) + "\"";
   out += ",\"session\":" + std::to_string(t.session);
   out += ",\"query_hash\":\"" + TraceIdHex(t.query_hash) + "\"";
-  out += ",\"status\":\"" + Escape(t.status) + "\"";
-  out += ",\"sample_reason\":\"" + Escape(t.sample_reason) + "\"";
+  out += ",\"status\":\"" + JsonEscape(t.status) + "\"";
+  out += ",\"sample_reason\":\"" + JsonEscape(t.sample_reason) + "\"";
   out += ",\"client_context\":";
   out += t.client_context ? "true" : "false";
   out += ",\"total_ms\":" + Ms(t.total_ms);
@@ -141,13 +113,13 @@ std::string TraceToChromeJson(const RequestTrace& t) {
   // Process + thread name metadata so Perfetto labels the rows.
   emit("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
        "\"args\":{\"name\":\"request " +
-       TraceIdHex(t.trace_id) + " (" + Escape(t.status) + ")\"}}");
+       TraceIdHex(t.trace_id) + " (" + JsonEscape(t.status) + ")\"}}");
   for (const TraceSpan& s : t.spans) {
     int tid = LaneTid(&lanes, s.lane);
     double ts_us = s.start_ms * 1000.0;
     double dur_us = s.dur_ms * 1000.0;
     emit("{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-         ",\"name\":\"" + Escape(s.name) + "\",\"ts\":" + Ms(ts_us) +
+         ",\"name\":\"" + JsonEscape(s.name) + "\",\"ts\":" + Ms(ts_us) +
          ",\"dur\":" + Ms(dur_us) + ",\"args\":{\"span_id\":" +
          std::to_string(s.span_id) + ",\"parent_span_id\":" +
          std::to_string(s.parent_span_id) + "}}");
@@ -155,7 +127,7 @@ std::string TraceToChromeJson(const RequestTrace& t) {
   for (size_t i = 0; i < lanes.size(); ++i) {
     emit("{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(i + 1) +
          ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-         Escape(lanes[i]) + "\"}}");
+         JsonEscape(lanes[i]) + "\"}}");
   }
   return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n" + ev + "\n]}\n";
 }

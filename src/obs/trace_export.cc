@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/core/optimizer.h"
+#include "src/runtime/json.h"
 #include "src/runtime/profile.h"
 
 namespace ldb {
@@ -17,28 +18,6 @@ namespace {
 constexpr int kCompilePid = 1;
 constexpr int kExecutePid = 2;
 constexpr int kOperatorPid = 3;
-
-void Escape(const std::string& s, std::ostringstream& os) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 std::string Us(double us) {
   char buf[40];
@@ -55,9 +34,9 @@ class EventWriter {
     Sep();
     os_ << "{\"ph\": \"M\", \"pid\": " << pid << ", \"tid\": " << tid
         << ", \"name\": ";
-    Escape(kind, os_);
+    os_ << JsonQuote(kind);
     os_ << ", \"args\": {\"name\": ";
-    Escape(name, os_);
+    os_ << JsonQuote(name);
     os_ << "}}";
   }
 
@@ -66,7 +45,7 @@ class EventWriter {
     Sep();
     os_ << "{\"ph\": \"X\", \"pid\": " << pid << ", \"tid\": " << tid
         << ", \"name\": ";
-    Escape(name, os_);
+    os_ << JsonQuote(name);
     os_ << ", \"ts\": " << Us(ts_us) << ", \"dur\": " << Us(dur_us);
     if (!args_json.empty()) os_ << ", \"args\": " << args_json;
     os_ << "}";

@@ -75,6 +75,26 @@ struct Node {
   NodePtr a, b;                                     // children
   std::string var;                                  // kExists/kForAll binder
   std::vector<std::pair<std::string, NodePtr>> fields;  // kStruct
+  /// Height of this subtree (a leaf is 1), kept by the factories and by
+  /// SetHeight; the parser refuses trees higher than kMaxQueryDepth.
+  int height = 1;
+
+  /// Recomputes `height` from every child field.
+  void SetHeight() {
+    int h = 0;
+    auto over = [&h](const NodePtr& n) {
+      if (n && n->height > h) h = n->height;
+    };
+    over(a);
+    over(b);
+    over(where);
+    for (const ProjItem& p : projection) over(p.expr);
+    for (const FromItem& f : froms) over(f.domain);
+    for (const NodePtr& g : group_by) over(g);
+    for (const auto& [key, desc] : order_by) over(key);
+    for (const auto& [name, f] : fields) over(f);
+    height = h + 1;
+  }
 
   static std::shared_ptr<Node> New(NodeKind k) {
     auto n = std::make_shared<Node>();
@@ -100,6 +120,7 @@ struct Node {
     auto node = New(NodeKind::kProj);
     node->a = std::move(base);
     node->name = std::move(attr);
+    node->SetHeight();
     return node;
   }
   static NodePtr Bin(OBin op, NodePtr l, NodePtr r) {
@@ -107,18 +128,21 @@ struct Node {
     node->bin = op;
     node->a = std::move(l);
     node->b = std::move(r);
+    node->SetHeight();
     return node;
   }
   static NodePtr Un(OUn op, NodePtr e) {
     auto node = New(NodeKind::kUn);
     node->un = op;
     node->a = std::move(e);
+    node->SetHeight();
     return node;
   }
   static NodePtr In(NodePtr elem, NodePtr coll) {
     auto node = New(NodeKind::kIn);
     node->a = std::move(elem);
     node->b = std::move(coll);
+    node->SetHeight();
     return node;
   }
   static NodePtr Quantifier(NodeKind kind, std::string var, NodePtr domain,
@@ -127,17 +151,20 @@ struct Node {
     node->var = std::move(var);
     node->a = std::move(domain);
     node->b = std::move(pred);
+    node->SetHeight();
     return node;
   }
   static NodePtr Agg(OAgg op, NodePtr arg) {
     auto node = New(NodeKind::kAgg);
     node->agg = op;
     node->a = std::move(arg);
+    node->SetHeight();
     return node;
   }
   static NodePtr Struct(std::vector<std::pair<std::string, NodePtr>> fields) {
     auto node = New(NodeKind::kStruct);
     node->fields = std::move(fields);
+    node->SetHeight();
     return node;
   }
 };

@@ -2,6 +2,7 @@
 
 #include "src/oql/lexer.h"
 #include "src/runtime/error.h"
+#include "src/runtime/serialize.h"
 
 namespace ldb::oql {
 
@@ -20,6 +21,20 @@ class Parser {
  private:
   std::vector<Token> toks_;
   size_t pos_ = 0;
+  // Depth budget (kMaxQueryDepth). `depth_` counts the recursive rules on
+  // the stack (Nest) — a parenthesis or subquery nests without building a
+  // node — and Bounded() checks each node's height as it is built, which
+  // catches left-deep chains the loops below build without recursing.
+  int depth_ = 0;
+
+  DepthGuard Nest() { return DepthGuard(&depth_, kMaxQueryDepth, "query"); }
+  NodePtr Bounded(NodePtr n) const {
+    if (n->height > kMaxQueryDepth) {
+      Fail("nesting deeper than " + std::to_string(kMaxQueryDepth) +
+           " levels");
+    }
+    return n;
+  }
 
   const Token& Peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
@@ -84,6 +99,7 @@ class Parser {
   }
 
   NodePtr Select() {
+    DepthGuard nest = Nest();
     ExpectKeyword("select");
     auto node = Node::New(NodeKind::kSelect);
     node->distinct = AcceptKeyword("distinct");
@@ -112,7 +128,8 @@ class Parser {
         node->order_by.emplace_back(std::move(key), desc);
       } while (AcceptSymbol(","));
     }
-    return node;
+    node->SetHeight();
+    return Bounded(node);
   }
 
   ProjItem ProjItemRule() {
@@ -151,19 +168,25 @@ class Parser {
   }
 
   NodePtr OrExpr() {
+    DepthGuard nest = Nest();
     NodePtr l = AndExpr();
-    while (AcceptKeyword("or")) l = Node::Bin(OBin::kOr, l, AndExpr());
+    while (AcceptKeyword("or")) l = Bounded(Node::Bin(OBin::kOr, l, AndExpr()));
     return l;
   }
 
   NodePtr AndExpr() {
     NodePtr l = NotExpr();
-    while (AcceptKeyword("and")) l = Node::Bin(OBin::kAnd, l, NotExpr());
+    while (AcceptKeyword("and")) {
+      l = Bounded(Node::Bin(OBin::kAnd, l, NotExpr()));
+    }
     return l;
   }
 
   NodePtr NotExpr() {
-    if (AcceptKeyword("not")) return Node::Un(OUn::kNot, NotExpr());
+    if (AcceptKeyword("not")) {
+      DepthGuard nest = Nest();
+      return Bounded(Node::Un(OUn::kNot, NotExpr()));
+    }
     // Quantifiers bind like NOT and their body extends maximally right.
     if (IsKeyword("exists") && Peek(1).kind == TokKind::kIdent &&
         IsKeyword("in", 2)) {
@@ -173,7 +196,7 @@ class Parser {
       NodePtr domain = IsKeyword("select") ? Select() : Comparison();
       ExpectSymbol(":");
       NodePtr body = OrExpr();
-      return Node::Quantifier(NodeKind::kExists, var, domain, body);
+      return Bounded(Node::Quantifier(NodeKind::kExists, var, domain, body));
     }
     if (IsKeyword("for") && IsKeyword("all", 1)) {
       Advance();
@@ -183,7 +206,7 @@ class Parser {
       NodePtr domain = IsKeyword("select") ? Select() : Comparison();
       ExpectSymbol(":");
       NodePtr body = OrExpr();
-      return Node::Quantifier(NodeKind::kForAll, var, domain, body);
+      return Bounded(Node::Quantifier(NodeKind::kForAll, var, domain, body));
     }
     return Comparison();
   }
@@ -209,13 +232,13 @@ class Parser {
         return MaybeIn(l);
       }
       Advance();
-      return Node::Bin(op, l, Additive());
+      return Bounded(Node::Bin(op, l, Additive()));
     }
     return MaybeIn(l);
   }
 
   NodePtr MaybeIn(NodePtr l) {
-    if (AcceptKeyword("in")) return Node::In(l, Additive());
+    if (AcceptKeyword("in")) return Bounded(Node::In(l, Additive()));
     return l;
   }
 
@@ -223,9 +246,9 @@ class Parser {
     NodePtr l = Multiplicative();
     while (true) {
       if (AcceptSymbol("+")) {
-        l = Node::Bin(OBin::kAdd, l, Multiplicative());
+        l = Bounded(Node::Bin(OBin::kAdd, l, Multiplicative()));
       } else if (AcceptSymbol("-")) {
-        l = Node::Bin(OBin::kSub, l, Multiplicative());
+        l = Bounded(Node::Bin(OBin::kSub, l, Multiplicative()));
       } else {
         return l;
       }
@@ -236,11 +259,11 @@ class Parser {
     NodePtr l = Unary();
     while (true) {
       if (AcceptSymbol("*")) {
-        l = Node::Bin(OBin::kMul, l, Unary());
+        l = Bounded(Node::Bin(OBin::kMul, l, Unary()));
       } else if (AcceptSymbol("/")) {
-        l = Node::Bin(OBin::kDiv, l, Unary());
+        l = Bounded(Node::Bin(OBin::kDiv, l, Unary()));
       } else if (AcceptKeyword("mod")) {
-        l = Node::Bin(OBin::kMod, l, Unary());
+        l = Bounded(Node::Bin(OBin::kMod, l, Unary()));
       } else {
         return l;
       }
@@ -248,13 +271,16 @@ class Parser {
   }
 
   NodePtr Unary() {
-    if (AcceptSymbol("-")) return Node::Un(OUn::kNeg, Unary());
+    if (AcceptSymbol("-")) {
+      DepthGuard nest = Nest();
+      return Bounded(Node::Un(OUn::kNeg, Unary()));
+    }
     return Postfix();
   }
 
   NodePtr Postfix() {
     NodePtr e = Primary();
-    while (AcceptSymbol(".")) e = Node::Proj(e, ExpectIdent());
+    while (AcceptSymbol(".")) e = Bounded(Node::Proj(e, ExpectIdent()));
     return e;
   }
 
@@ -321,7 +347,7 @@ class Parser {
             } while (AcceptSymbol(","));
           }
           ExpectSymbol(")");
-          return Node::Struct(std::move(fields));
+          return Bounded(Node::Struct(std::move(fields)));
         }
         OAgg agg;
         if (AggFromKeyword(t.lower, &agg) && IsSymbol("(", 1)) {
@@ -329,7 +355,7 @@ class Parser {
           Advance();
           NodePtr arg = Query();
           ExpectSymbol(")");
-          return Node::Agg(agg, arg);
+          return Bounded(Node::Agg(agg, arg));
         }
         Advance();
         return Node::Ident(t.text);

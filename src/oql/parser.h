@@ -26,7 +26,10 @@
 
 namespace ldb::oql {
 
-/// Parses one OQL query (a select or a bare expression). Throws ParseError.
+/// Parses one OQL query (a select or a bare expression). Throws ParseError,
+/// also when the query nests deeper than kMaxQueryDepth (runtime/
+/// serialize.h): counted as the height of the tree built, so long left-deep
+/// operator chains count as well as parentheses and subqueries.
 NodePtr Parse(const std::string& input);
 
 }  // namespace ldb::oql

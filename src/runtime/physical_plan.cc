@@ -460,33 +460,6 @@ std::string DescribePhysOp(const PhysOp& op) {
   return os.str();
 }
 
-PhysPtr ExpandNestJoin(const PhysOp& op) {
-  std::shared_ptr<PhysOp> join;
-  if (op.kind == PhysKind::kHashNestJoin) {
-    join = New(PhysKind::kHashOuterJoin);
-    join->probe_keys = op.probe_keys;
-    join->build_keys = op.build_keys;
-    join->pred = op.pred;
-  } else {
-    LDB_INTERNAL_CHECK(op.kind == PhysKind::kRangeNestJoin,
-                       "not a nest join");
-    join = New(PhysKind::kNLOuterJoin);
-    join->pred = MakeConjunction(
-        {Expr::Bin(op.range_op, op.probe_keys[0], op.build_keys[0]), op.pred});
-  }
-  join->left = op.left;
-  join->right = op.right;
-  join->pad_vars = op.pad_vars;
-  auto nest = New(PhysKind::kHashNest);
-  nest->left = join;
-  nest->monoid = op.monoid;
-  nest->head = op.head;
-  nest->var = op.var;
-  nest->group_by = op.group_by;
-  nest->null_vars = op.null_vars;
-  return nest;
-}
-
 PhysPtr PlanPhysical(const AlgPtr& plan, const Database& db,
                      const PhysicalOptions& options) {
   Planner planner(db, options);

@@ -4,15 +4,12 @@
 // A physical plan makes every execution decision explicit that the logical
 // algebra leaves open: which join algorithm runs (hash vs nested-loop, with
 // extracted equi-keys), which side builds the hash table, whether a scan
-// goes through an index, and where grouping hash tables sit. Two engines
-// consume it:
-//
-//   * ExecutePipelined (exec_pipeline.h) — Volcano-style open/next/close
-//     iterators; rows flow one at a time, quantifier roots stop pulling as
-//     soon as they saturate;
-//   * the materializing executor (eval_algebra.h) predates this layer and
-//     remains as a reference implementation; both engines are tested to
-//     agree everywhere.
+// goes through an index, and where grouping hash tables sit.
+// ExecutePipelined (exec_pipeline.h) runs it with Volcano-style
+// open/next/close iterators; rows flow one at a time, and quantifier roots
+// stop pulling as soon as they saturate. The materializing executor
+// (eval_algebra.h) runs the logical plan instead; it is the reference the
+// pipelined engine is tested against everywhere.
 
 #ifndef LAMBDADB_RUNTIME_PHYSICAL_PLAN_H_
 #define LAMBDADB_RUNTIME_PHYSICAL_PLAN_H_
@@ -83,9 +80,7 @@ struct PhysOp {
   // kHashNestJoin, `probe_keys[i] = build_keys[i]` for every i (right-only
   // conjuncts sit in a Filter on the right input). The nest fields (monoid,
   // head, var, group_by = identity over the left variables, null_vars =
-  // pad_vars = the right variables) keep their HashNest meaning, so the
-  // operator can be expanded back into HashNest over NLOuterJoin or
-  // HashOuterJoin (ExpandNestJoin).
+  // pad_vars = the right variables) keep their HashNest meaning.
   BinOpKind range_op = BinOpKind::kLt;
 };
 
@@ -94,11 +89,6 @@ struct PhysOp {
 /// must be Reduce-rooted (as produced by the unnesting algorithm).
 PhysPtr PlanPhysical(const AlgPtr& plan, const Database& db,
                      const PhysicalOptions& options = {});
-
-/// The HashNest(NLOuterJoin) pair a kRangeNestJoin replaces, or the
-/// HashNest(HashOuterJoin) pair a kHashNestJoin replaces; results of the
-/// two forms are identical.
-PhysPtr ExpandNestJoin(const PhysOp& op);
 
 /// Operator-kind mnemonic ("TableScan", "HashJoin", ...).
 const char* PhysKindName(PhysKind kind);

@@ -1,14 +1,11 @@
 #include "src/runtime/profile.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "src/core/optimizer.h"
 #include "src/runtime/error.h"
+#include "src/runtime/json.h"
 
 namespace ldb {
 
@@ -64,158 +61,11 @@ std::vector<const OperatorStats*> QueryProfiler::Operators() const {
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission. Hand-rolled (no external deps); doubles print with %.17g so
+// JSON through src/runtime/json.h: doubles print with %.17g so
 // ProfileFromJson(ProfileToJson(p)) reproduces every value bit-exactly.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-void JsonEscape(const std::string& s, std::ostringstream& os) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void JsonDouble(double d, std::ostringstream& os) {
-  if (!std::isfinite(d)) {
-    os << 0;  // JSON has no Inf/NaN; profiles never produce them anyway
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  os << buf;
-}
-
-// Minimal recursive-descent JSON reader — just enough for the profile and
-// trace schemas this file emits (objects, arrays, strings, numbers).
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : s_(text) {}
-
-  void ExpectObjectStart() { Skip(); Expect('{'); }
-  bool NextKey(std::string* key) {
-    Skip();
-    if (Peek() == '}') { ++pos_; return false; }
-    if (Peek() == ',') ++pos_;
-    Skip();
-    *key = ParseString();
-    Skip();
-    Expect(':');
-    return true;
-  }
-  void ExpectArrayStart() { Skip(); Expect('['); }
-  bool NextElement() {
-    Skip();
-    if (Peek() == ']') { ++pos_; return false; }
-    if (Peek() == ',') { ++pos_; Skip(); }
-    return true;
-  }
-
-  std::string ParseString() {
-    Skip();
-    Expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        char e = s_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) throw ParseError("bad \\u escape");
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = s_[pos_++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
-              else throw ParseError("bad \\u escape");
-            }
-            out += static_cast<char>(v);  // profiles only escape control chars
-            break;
-          }
-          default: out += e;
-        }
-      } else {
-        out += c;
-      }
-    }
-    Expect('"');
-    return out;
-  }
-
-  double ParseNumber() {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            std::strchr("+-.eE", s_[pos_]) != nullptr)) {
-      ++pos_;
-    }
-    if (pos_ == start) throw ParseError("expected number in profile JSON");
-    return std::strtod(s_.c_str() + start, nullptr);
-  }
-
-  uint64_t ParseUint() { return static_cast<uint64_t>(ParseNumber()); }
-
-  void SkipValue() {
-    Skip();
-    char c = Peek();
-    if (c == '"') { ParseString(); return; }
-    if (c == '{') {
-      ExpectObjectStart();
-      std::string k;
-      while (NextKey(&k)) SkipValue();
-      return;
-    }
-    if (c == '[') {
-      ExpectArrayStart();
-      while (NextElement()) SkipValue();
-      return;
-    }
-    ParseNumber();
-  }
-
- private:
-  char Peek() const {
-    if (pos_ >= s_.size()) throw ParseError("truncated profile JSON");
-    return s_[pos_];
-  }
-  void Skip() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  void Expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      throw ParseError(std::string("profile JSON: expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
 
 PhysKind KindFromName(const std::string& name) {
   static const std::pair<const char*, PhysKind> kTable[] = {
@@ -246,9 +96,9 @@ std::string ProfileToJson(const QueryProfiler& prof) {
   std::ostringstream os;
   os << "{\"threads\": " << prof.threads_used
      << ", \"morsel_size\": " << prof.morsel_size << ", \"mode\": ";
-  JsonEscape(prof.parallel_mode.empty() ? "serial" : prof.parallel_mode, os);
+  os << JsonQuote(prof.parallel_mode.empty() ? "serial" : prof.parallel_mode);
   os << ", \"wall_ns\": ";
-  JsonDouble(prof.wall_ns, os);
+  os << JsonNumber(prof.wall_ns);
   os << ", \"plan_cached\": " << prof.plan_cached
      << ", \"cache_hits\": " << prof.cache_hits
      << ", \"cache_misses\": " << prof.cache_misses
@@ -259,16 +109,16 @@ std::string ProfileToJson(const QueryProfiler& prof) {
     if (!first) os << ", ";
     first = false;
     os << "{\"id\": " << s->op_id << ", \"kind\": ";
-    JsonEscape(PhysKindName(s->kind), os);
+    os << JsonQuote(PhysKindName(s->kind));
     os << ", \"label\": ";
-    JsonEscape(s->label, os);
+    os << JsonQuote(s->label);
     os << ", \"opens\": " << s->opens << ", \"next_calls\": " << s->next_calls
        << ", \"rows_out\": " << s->rows_out << ", \"open_ns\": ";
-    JsonDouble(s->open_ns, os);
+    os << JsonNumber(s->open_ns);
     os << ", \"next_ns\": ";
-    JsonDouble(s->next_ns, os);
+    os << JsonNumber(s->next_ns);
     os << ", \"merge_ns\": ";
-    JsonDouble(s->merge_ns, os);
+    os << JsonNumber(s->merge_ns);
     os << ", \"build_rows\": " << s->build_rows
        << ", \"build_workers\": " << s->build_workers
        << ", \"groups\": " << s->groups
@@ -282,7 +132,7 @@ std::string ProfileToJson(const QueryProfiler& prof) {
     first = false;
     os << "{\"worker\": " << w.worker << ", \"morsels\": " << w.morsels
        << ", \"rows\": " << w.rows << ", \"busy_ns\": ";
-    JsonDouble(w.busy_ns, os);
+    os << JsonNumber(w.busy_ns);
     os << "}";
   }
   os << "], \"morsels\": [";
@@ -293,9 +143,9 @@ std::string ProfileToJson(const QueryProfiler& prof) {
     os << "{\"index\": " << m.index << ", \"lo\": " << m.lo
        << ", \"hi\": " << m.hi << ", \"rows\": " << m.rows
        << ", \"worker\": " << m.worker << ", \"start_ns\": ";
-    JsonDouble(m.start_ns, os);
+    os << JsonNumber(m.start_ns);
     os << ", \"dur_ns\": ";
-    JsonDouble(m.dur_ns, os);
+    os << JsonNumber(m.dur_ns);
     os << "}";
   }
   os << "]}";
@@ -304,7 +154,7 @@ std::string ProfileToJson(const QueryProfiler& prof) {
 
 QueryProfiler ProfileFromJson(const std::string& json) {
   QueryProfiler prof;
-  JsonReader r(json);
+  JsonReader r(json, "profile JSON");
   r.ExpectObjectStart();
   std::string key;
   while (r.NextKey(&key)) {
@@ -401,9 +251,9 @@ std::string CompileTraceToJson(const CompileTrace& trace) {
     if (!first) os << ", ";
     first = false;
     os << "{\"stage\": ";
-    JsonEscape(st.stage, os);
+    os << JsonQuote(st.stage);
     os << ", \"ms\": ";
-    JsonDouble(st.ms, os);
+    os << JsonNumber(st.ms);
     os << "}";
   }
   os << "], \"normalize_rules\": [";
@@ -412,7 +262,7 @@ std::string CompileTraceToJson(const CompileTrace& trace) {
     if (!first) os << ", ";
     first = false;
     os << "{\"rule\": ";
-    JsonEscape(rf.rule, os);
+    os << JsonQuote(rf.rule);
     os << ", \"count\": " << rf.count << "}";
   }
   os << "], \"unnest_steps\": [";
@@ -421,9 +271,9 @@ std::string CompileTraceToJson(const CompileTrace& trace) {
     if (!first) os << ", ";
     first = false;
     os << "{\"rule\": ";
-    JsonEscape(step.rule, os);
+    os << JsonQuote(step.rule);
     os << ", \"description\": ";
-    JsonEscape(step.description, os);
+    os << JsonQuote(step.description);
     os << "}";
   }
   os << "], \"verify_stages\": [";
@@ -432,15 +282,15 @@ std::string CompileTraceToJson(const CompileTrace& trace) {
     if (!first) os << ", ";
     first = false;
     os << "{\"stage\": ";
-    JsonEscape(v.stage, os);
+    os << JsonQuote(v.stage);
     os << ", \"checks\": " << v.checks << ", \"findings\": " << v.findings
        << ", \"ms\": ";
-    JsonDouble(v.ms, os);
+    os << JsonNumber(v.ms);
     os << "}";
   }
   os << "], \"simplify_rewrites\": " << trace.simplify_rewrites
      << ", \"total_ms\": ";
-  JsonDouble(trace.total_ms, os);
+  os << JsonNumber(trace.total_ms);
   os << "}";
   return os.str();
 }

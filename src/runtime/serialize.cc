@@ -219,7 +219,7 @@ class Reader {
       case 'S':
       case 'G':
       case 'L': {
-        DepthGuard guard(this);
+        DepthGuard guard(&depth_, kMaxValueDepth, "dump");
         Expect('(');
         TypePtr elem = ReadType();
         Expect(')');
@@ -228,7 +228,7 @@ class Reader {
         return Type::List(elem);
       }
       case 'T': {
-        DepthGuard guard(this);
+        DepthGuard guard(&depth_, kMaxValueDepth, "dump");
         int64_t n = ReadCount();
         Expect('(');
         std::vector<std::pair<std::string, TypePtr>> fields;
@@ -261,7 +261,7 @@ class Reader {
       }
       case 's': return Value::Str(ReadString());
       case 't': {
-        DepthGuard guard(this);
+        DepthGuard guard(&depth_, kMaxValueDepth, "dump");
         int64_t n = ReadCount();
         Expect('(');
         Fields fields;
@@ -275,7 +275,7 @@ class Reader {
       case 'e':
       case 'g':
       case 'l': {
-        DepthGuard guard(this);
+        DepthGuard guard(&depth_, kMaxValueDepth, "dump");
         int64_t n = ReadCount();
         Expect('(');
         Elems elems;
@@ -317,21 +317,6 @@ class Reader {
   }
 
  private:
-  // Counts one level of collection or tuple nesting (of a value or a type)
-  // for its lifetime; past kMaxValueDepth the input is rejected before the
-  // recursion goes deeper.
-  struct DepthGuard {
-    explicit DepthGuard(Reader* r) : r(r) {
-      if (++r->depth_ > kMaxValueDepth) {
-        --r->depth_;
-        throw ParseError("dump: nesting deeper than " +
-                         std::to_string(kMaxValueDepth) + " levels");
-      }
-    }
-    ~DepthGuard() { --r->depth_; }
-    Reader* r;
-  };
-
   std::istream& is_;
   std::streamoff size_;
   int depth_ = 0;

@@ -28,6 +28,7 @@
 #include <string>
 
 #include "src/runtime/database.h"
+#include "src/runtime/error.h"
 
 namespace ldb {
 
@@ -39,6 +40,36 @@ namespace ldb {
 /// default stack (8 MiB on Linux), while no value the engine builds nests
 /// anywhere near this deep.
 constexpr int kMaxValueDepth = 256;
+
+/// The same budget for query text: the deepest tree the OQL parser
+/// (oql/parser.h) and the calculus parser (verify/calc_parser.h) build —
+/// counted as tree height, so a left-deep `1+1+...` chain counts one level
+/// per operator — and the deepest their recursive descent goes. Deeper
+/// input is a ParseError, so parsing and every recursive pass downstream
+/// (translate, normalize, typecheck, unnest, print, verify, slot compile,
+/// the evaluators) stay within a server worker thread's stack.
+constexpr int kMaxQueryDepth = kMaxValueDepth;
+
+/// Counts one level of nesting against `limit` for its scope. The recursive
+/// readers (the dump/value reader, the OQL and calculus parsers) hold one
+/// per recursive rule, so input past the budget is a ParseError naming
+/// `what` before the recursion goes any deeper.
+class DepthGuard {
+ public:
+  DepthGuard(int* depth, int limit, const char* what) : depth_(depth) {
+    if (++*depth_ > limit) {
+      --*depth_;
+      throw ParseError(std::string(what) + ": nesting deeper than " +
+                       std::to_string(limit) + " levels");
+    }
+  }
+  ~DepthGuard() { --*depth_; }
+  DepthGuard(const DepthGuard&) = delete;
+  DepthGuard& operator=(const DepthGuard&) = delete;
+
+ private:
+  int* depth_;
+};
 
 /// Writes the database (schema + every object, in oid order) to `os`.
 void DumpDatabase(const Database& db, std::ostream& os);

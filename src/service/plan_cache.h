@@ -34,13 +34,13 @@
 namespace ldb {
 
 /// A fully compiled, engine-ready query. Built once per distinct normalized
-/// form and shared read-only by every execution (both engines, any number
-/// of concurrent sessions).
+/// form and shared read-only by every execution (any number of concurrent
+/// sessions).
 struct PreparedPlan {
   std::string cache_key;      ///< the key this plan is stored under
   CompiledQuery compiled;     ///< calculus .. simplified algebra
-  PhysPtr physical;           ///< physical plan (Env engine entry point)
-  SlotPlan slots;             ///< slot-compiled plan (slot engine entry point)
+  PhysPtr physical;           ///< physical plan (EXPLAIN renders it)
+  SlotPlan slots;             ///< slot-compiled plan (what executes)
   bool ordered = false;       ///< top-level `order by`: sort after execution
   std::vector<bool> descending;
 

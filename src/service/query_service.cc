@@ -394,7 +394,7 @@ Value QueryService::Run(Session& session, const std::string& oql,
   rec.remote = session.peer();
   rec.query_hash = std::hash<std::string>{}(oql);
   rec.threads = session.options().n_threads;
-  rec.engine = session.options().use_slot_frames ? "slot" : "env";
+  rec.engine = "slot";
 
   // Adopt the wire-propagated trace context — or mint an id, so slow and
   // failing requests land in the trace ring (and histogram exemplars) even
@@ -611,7 +611,6 @@ Value QueryService::RunAdmitted(Session& session, const std::string& oql,
   ExecOptions eo;
   eo.n_threads = session.options().n_threads;
   eo.morsel_size = session.options().morsel_size;
-  eo.use_slot_frames = session.options().use_slot_frames;
   eo.profiler = profiler;
   eo.cancel = &token;
   eo.params = &session.bindings();
@@ -637,13 +636,11 @@ Value QueryService::RunAdmitted(Session& session, const std::string& oql,
       oo.exec = eo;
       Optimizer opt(db_.schema(), oo);
       result = opt.Run(plan->compiled.calculus, db_);
-    } else if (eo.use_slot_frames) {
+    } else {
       // The cached SlotPlan is immutable and executes with per-call frames,
       // so sharing it across concurrent sessions is safe — and skipping
       // CompileSlotPlan here is most of what a cache hit buys.
       result = ExecuteSlotPlan(plan->slots, db_, eo);
-    } else {
-      result = ExecutePipelined(plan->physical, db_, eo);
     }
   } catch (...) {
     flush_totals();

@@ -8,7 +8,7 @@
 //     normalized calculus form and the compiled plan (physical + slot) is
 //     reused across bindings and sessions;
 //   * sessions — per-client bindings, deadline, memory budget, and the
-//     CancelToken both engines poll;
+//     CancelToken the engine polls;
 //   * admission — at most `max_concurrent` queries execute at once; up to
 //     `max_queue` more wait on a condition variable (deadline-aware), and
 //     anything beyond that is rejected with AdmissionError;
@@ -118,8 +118,8 @@ class QueryService {
                         QueryStats* stats = nullptr,
                         QueryProfiler* profiler = nullptr);
 
-  /// One-shot: admission -> plan cache (compile on miss) -> execute on the
-  /// session's engine with its bindings/deadline/cancel token.
+  /// One-shot: admission -> plan cache (compile on miss) -> execute with
+  /// the session's threads, bindings, deadline and cancel token.
   Value Execute(Session& session, const std::string& oql,
                 QueryStats* stats = nullptr,
                 QueryProfiler* profiler = nullptr);

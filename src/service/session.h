@@ -42,7 +42,6 @@ struct SessionOptions {
   /// Engine knobs, forwarded into ExecOptions per query.
   int n_threads = 1;
   size_t morsel_size = 2048;
-  bool use_slot_frames = true;
 };
 
 class Session {

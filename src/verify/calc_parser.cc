@@ -1,11 +1,14 @@
 #include "src/verify/calc_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "src/runtime/error.h"
+#include "src/runtime/serialize.h"
 
 namespace ldb {
 
@@ -31,6 +34,32 @@ class Parser {
   [[noreturn]] void Fail(const std::string& why) const {
     throw ParseError("calculus syntax: " + why + " at offset " +
                      std::to_string(p_) + " in: " + s_);
+  }
+
+  // Depth budget (kMaxQueryDepth), as in the OQL parser: `depth_` counts
+  // ParseExpr/ParseValue frames on the stack, and Bounded() checks each
+  // node's height as it is built (postfix chains grow without recursing).
+  DepthGuard Nest() { return DepthGuard(&depth_, kMaxQueryDepth, "calculus"); }
+
+  int Height(const ExprPtr& e) const {
+    auto it = height_.find(e.get());
+    return it == height_.end() ? 1 : it->second;  // leaves are not recorded
+  }
+
+  // Records the height of a node just built from already-parsed children.
+  ExprPtr Bounded(ExprPtr e) {
+    int h = 0;
+    for (const ExprPtr* c : {&e->a, &e->b, &e->c}) {
+      if (*c) h = std::max(h, Height(*c));
+    }
+    for (const auto& [name, f] : e->fields) h = std::max(h, Height(f));
+    for (const Qualifier& q : e->quals) h = std::max(h, Height(q.expr));
+    if (++h > kMaxQueryDepth) {
+      Fail("nesting deeper than " + std::to_string(kMaxQueryDepth) +
+           " levels");
+    }
+    height_[e.get()] = h;
+    return e;
   }
 
   void Skip() {
@@ -153,6 +182,7 @@ class Parser {
   }
 
   Value ParseValue() {
+    DepthGuard nest = Nest();
     Skip();
     char c = Peek();
     if (c == '"') return Value::Str(ParseStringBody());
@@ -245,13 +275,13 @@ class Parser {
       if (!m) Fail("unknown merge monoid '" + name + "'");
       ExprPtr rhs = ParseExpr();
       Expect(')');
-      return Expr::Merge(*m, lhs, rhs);
+      return Bounded(Expr::Merge(*m, lhs, rhs));
     }
     std::optional<BinOpKind> op = ParseBinOp();
     if (!op) Fail("expected operator or ')'");
     ExprPtr rhs = ParseExpr();
     Expect(')');
-    return Expr::Bin(*op, lhs, rhs);
+    return Bounded(Expr::Bin(*op, lhs, rhs));
   }
 
   std::vector<Qualifier> ParseQualifiers() {
@@ -291,7 +321,7 @@ class Parser {
     Skip();
     if (Accept('|')) quals = ParseQualifiers();
     Expect('}');
-    return Expr::Comp(m, head, std::move(quals));
+    return Bounded(Expr::Comp(m, head, std::move(quals)));
   }
 
   ExprPtr ParsePrimary() {
@@ -305,7 +335,7 @@ class Parser {
       ++p_;
       std::string var = ParseIdent();
       Expect('.');
-      return Expr::Lambda(var, ParseExpr());
+      return Bounded(Expr::Lambda(var, ParseExpr()));
     }
     if (c == '$') {
       ++p_;
@@ -323,7 +353,7 @@ class Parser {
         Skip();
       }
       ++p_;
-      return Expr::Record(std::move(fields));
+      return Bounded(Expr::Record(std::move(fields)));
     }
     if (c == '{' || c == '[' || c == '"') return Expr::Lit(ParseValue());
     if (c == '-') {
@@ -331,7 +361,7 @@ class Parser {
         p_ += 2;
         ExprPtr e = ParseExpr();
         Expect(')');
-        return Expr::Un(UnOpKind::kNeg, e);
+        return Bounded(Expr::Un(UnOpKind::kNeg, e));
       }
       return Expr::Lit(ParseNumberValue());
     }
@@ -348,13 +378,14 @@ class Parser {
       ExprPtr then_e = ParseExpr();
       kw = ParseIdent();
       if (kw != "else") Fail("expected 'else'");
-      return Expr::If(cond, then_e, ParseExpr());
+      return Bounded(Expr::If(cond, then_e, ParseExpr()));
     }
     if ((word == "not" || word == "is_null") && Peek() == '(') {
       ++p_;
       ExprPtr e = ParseExpr();
       Expect(')');
-      return Expr::Un(word == "not" ? UnOpKind::kNot : UnOpKind::kIsNull, e);
+      return Bounded(
+          Expr::Un(word == "not" ? UnOpKind::kNot : UnOpKind::kIsNull, e));
     }
     if (word == "zero" && Peek() == '[') {
       ++p_;
@@ -379,19 +410,20 @@ class Parser {
   }
 
   ExprPtr ParseExpr() {
+    DepthGuard nest = Nest();
     ExprPtr e = ParsePrimary();
     // Postfix: projections and applications abut their base (no space).
     while (true) {
       if (Peek() == '.' && IdentStart(At(1))) {
         ++p_;
-        e = Expr::Proj(e, ParseIdent());
+        e = Bounded(Expr::Proj(e, ParseIdent()));
         continue;
       }
       if (Peek() == '(') {
         ++p_;
         ExprPtr arg = ParseExpr();
         Expect(')');
-        e = Expr::Apply(e, arg);
+        e = Bounded(Expr::Apply(e, arg));
         continue;
       }
       return e;
@@ -400,6 +432,8 @@ class Parser {
 
   const std::string& s_;
   size_t p_ = 0;
+  int depth_ = 0;
+  std::unordered_map<const Expr*, int> height_;
 };
 
 }  // namespace

@@ -28,7 +28,8 @@
 namespace ldb {
 
 /// Parses a term printed by PrintExpr back into a calculus AST. Throws
-/// ParseError (with a position) on input the printer could not have emitted.
+/// ParseError (with a position) on input the printer could not have emitted,
+/// and on a term or literal nested deeper than kMaxQueryDepth.
 ExprPtr ParseCalculus(const std::string& text);
 
 }  // namespace ldb

@@ -2,8 +2,8 @@
 // collection results"). The parallel spine reduce canonicalizes each
 // morsel's run in its worker and merges the runs after the join; list runs
 // concatenate in morsel order. Every result must be byte-identical to the
-// baseline interpreter, the materializing executor, the Env pipeline and the
-// serial slot engine at every thread count and morsel size. Results are
+// baseline interpreter, the materializing executor and the serial slot
+// engine at every thread count and morsel size. Results are
 // compared with ValueToText, not ==, so a wrong representative of
 // compare-equal values (3 and 3.0, -0.0 and 0.0, NaNs of either sign)
 // fails. Cancellation and a memory-budget abort around the merge must
@@ -115,10 +115,6 @@ class CollectionRootTest : public ::testing::Test {
     EXPECT_EQ(ValueToText(ExecutePlan(plan, db_)), expected)
         << "materializing";
     PhysPtr phys = PlanPhysical(plan, db_);
-    ExecOptions env;
-    env.use_slot_frames = false;
-    EXPECT_EQ(ValueToText(ExecutePipelined(phys, db_, env)), expected)
-        << "Env";
     SlotPlan sp = CompileSlotPlan(phys, db_);
     EXPECT_EQ(ValueToText(ExecuteSlotPlan(sp, db_)), expected)
         << "slot serial";

@@ -1,7 +1,7 @@
 // Tests for the physical plan layer (src/runtime/physical_plan.*) and the
-// Volcano pipelined executor (src/runtime/exec_pipeline.*): operator choice,
-// engine equivalence with the materializing executor, and pipeline
-// short-circuiting behaviour.
+// pipelined slot engine (src/runtime/exec_pipeline.*): operator choice,
+// engine equivalence with the materializing executor, and the scalar-nest
+// zero row.
 
 #include "src/runtime/exec_pipeline.h"
 
@@ -136,40 +136,23 @@ TEST_F(PipelineTest, OuterJoinsAlwaysProbeWithLeft) {
             std::string::npos);
 }
 
-TEST_F(PipelineTest, IteratorContractBasics) {
-  ExprEvaluator ev(db_);
-  auto scan = std::make_shared<PhysOp>();
-  scan->kind = PhysKind::kTableScan;
-  scan->extent = "Employees";
-  scan->var = "e";
-  scan->pred = Expr::True();
-  std::unique_ptr<RowIterator> it = MakeIterator(scan, &ev);
-  it->Open();
-  Env env;
-  int rows = 0;
-  while (it->Next(&env)) {
-    ++rows;
-    EXPECT_NE(env.Lookup("e"), nullptr);
-  }
-  EXPECT_EQ(rows, 4);
-  EXPECT_FALSE(it->Next(&env));  // stays exhausted
-  it->Close();
-}
-
 TEST_F(PipelineTest, UnitRowEmitsExactlyOnce) {
-  ExprEvaluator ev(db_);
   auto unit = std::make_shared<PhysOp>();
   unit->kind = PhysKind::kUnitRow;
   unit->pred = Expr::True();
-  auto it = MakeIterator(unit, &ev);
-  it->Open();
-  Env env;
-  EXPECT_TRUE(it->Next(&env));
-  EXPECT_FALSE(it->Next(&env));
+  auto reduce = std::make_shared<PhysOp>();
+  reduce->kind = PhysKind::kReduce;
+  reduce->left = unit;
+  reduce->monoid = MonoidKind::kSum;
+  reduce->head = Expr::Int(1);
+  reduce->pred = Expr::True();
+  EXPECT_EQ(ExecutePipelined(reduce, db_), Value::Int(1));
 }
 
 TEST_F(PipelineTest, ScalarNestEmitsZeroRowOnEmptyInput) {
-  // The regression from random_query_test must hold in this engine too.
+  // A scalar (key-less) HashNest over an empty input still emits one group
+  // holding the monoid zero, so the Reduce above folds exactly one row —
+  // serially and when the spine's morsels all come back empty.
   auto scan = std::make_shared<PhysOp>();
   scan->kind = PhysKind::kTableScan;
   scan->extent = "Employees";
@@ -182,13 +165,23 @@ TEST_F(PipelineTest, ScalarNestEmitsZeroRowOnEmptyInput) {
   nest->head = Expr::True();
   nest->var = "v";
   nest->pred = Expr::True();
-  ExprEvaluator ev(db_);
-  auto it = MakeIterator(nest, &ev);
-  it->Open();
-  Env env;
-  ASSERT_TRUE(it->Next(&env));
-  EXPECT_EQ(*env.Lookup("v"), Value::Bool(true));  // zero of all
-  EXPECT_FALSE(it->Next(&env));
+  auto reduce = std::make_shared<PhysOp>();
+  reduce->kind = PhysKind::kReduce;
+  reduce->left = nest;
+  reduce->monoid = MonoidKind::kBag;
+  reduce->head = Expr::Var("v");
+  reduce->pred = Expr::True();
+  SlotPlan plan = CompileSlotPlan(reduce, db_);
+  const Value zero_row = Value::Bag({Value::Bool(true)});  // zero of all
+  EXPECT_EQ(ExecuteSlotPlan(plan, db_), zero_row) << "serial";
+  ExecOptions par;
+  par.n_threads = 4;
+  par.morsel_size = 1;  // one morsel per employee
+  ExecTotals totals;
+  par.totals = &totals;
+  EXPECT_EQ(ExecuteSlotPlan(plan, db_, par), zero_row) << "4 threads";
+  EXPECT_STREQ(totals.mode, "spine-nest");
+  EXPECT_EQ(totals.morsels, 4u);
 }
 
 TEST_F(PipelineTest, OptimizerUsesPipelineByDefault) {

@@ -204,6 +204,28 @@ TEST(RegistryTest, JsonRoundTrip) {
   EXPECT_EQ(parsed.samples[0].labels.at("k"), "v");
 }
 
+// Control characters leave ToJson as \u00XX escapes and must come back as
+// the original bytes: a label "a\x01b" is 3 bytes after the round trip.
+TEST(RegistryTest, JsonRoundTripKeepsControlCharacters) {
+  obs::MetricSample sample;
+  sample.name = "ctl_total";
+  sample.type = "counter";
+  sample.help = std::string("h\x01" "elp \"q\" \\ \n\t\r\x1f");
+  sample.labels["k"] = std::string("a\x01" "b");
+  sample.value = 3;
+  MetricsSnapshot snap;
+  snap.samples.push_back(sample);
+
+  const std::string json = snap.ToJson();
+  EXPECT_NE(json.find("a\\u0001b"), std::string::npos) << json;
+  MetricsSnapshot parsed = obs::SnapshotFromJson(json);
+  ASSERT_EQ(parsed.samples.size(), 1u);
+  EXPECT_EQ(parsed.samples[0].labels.at("k"), sample.labels.at("k"));
+  EXPECT_EQ(parsed.samples[0].labels.at("k").size(), 3u);
+  EXPECT_EQ(parsed.samples[0].help, sample.help);
+  EXPECT_EQ(parsed.ToJson(), json);
+}
+
 // ----------------------------------------------------------------- query log
 
 QueryLogRecord MakeRecord(const std::string& status) {

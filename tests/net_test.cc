@@ -21,6 +21,7 @@
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
+#include "src/oql/parser.h"
 #include "src/runtime/serialize.h"
 #include "src/service/query_service.h"
 #include "src/workload/company.h"
@@ -391,6 +392,34 @@ TEST_F(NetServerTest, AdhocExecuteMatchesInProcessResults) {
   client.Close();
 }
 
+TEST_F(NetServerTest, LegacyEngineByteInHelloIsIgnored) {
+  // HELLO still carries the use_slot_frames byte, but the server has one
+  // engine: a client asking for 0 gets the slot engine's rows, no error.
+  Harness h;
+  HelloRequest hello;
+  hello.use_slot_frames = 0;
+  net::Client client;
+  client.Connect("127.0.0.1", h.port(), hello);
+  const std::string oql =
+      "select distinct e.name from e in Employees where e.dno = $1";
+  uint64_t handle = client.Prepare(oql);
+  client.Bind({{"1", Value::Int(2)}});
+  net::ClientResult remote = client.ExecutePrepared(handle);
+
+  auto session = h.svc.OpenSession();
+  session->Bind("1", Value::Int(2));
+  EXPECT_FALSE(remote.rows.empty());
+  EXPECT_EQ(remote.rows, h.svc.Execute(*session, oql).AsElems());
+  // The remote run is the older of the two log records.
+  std::vector<obs::QueryLogRecord> tail = h.svc.query_log().Tail(2);
+  ASSERT_EQ(tail.size(), 2u);
+  for (const obs::QueryLogRecord& rec : tail) {
+    EXPECT_EQ(rec.engine, "slot");
+    EXPECT_NE(rec.ToString().find("engine=slot"), std::string::npos);
+  }
+  EXPECT_EQ(tail[0].remote.rfind("127.0.0.1:", 0), 0u);
+}
+
 TEST_F(NetServerTest, ScalarResultTravelsAsOneRow) {
   Harness h;
   net::Client client;
@@ -700,6 +729,58 @@ TEST_F(NetServerTest, DeepBindValueGetsParseErrorAndConnSurvives) {
       << ErrorReply::Parse(f.payload).message;
   net::ClientResult r = client.Execute("count(select e from e in Employees)");
   EXPECT_EQ(r.rows[0], Value::Int(200));
+}
+
+TEST_F(NetServerTest, DeepQueryGetsParseErrorAndConnSurvives) {
+  // 20 000 nested parentheses (~40 KB) and a 50 000-term `1+1+...` chain
+  // (~100 KB) used to overflow a worker's stack — in the parser and after
+  // it — and kill the server. Both are now a PARSE error on the same
+  // connection, which keeps serving.
+  Harness h;
+  net::Client client;
+  client.Connect("127.0.0.1", h.port());
+  std::string chain = "1";
+  for (int i = 1; i < 50000; ++i) chain += "+1";
+  for (const std::string& oql :
+       {std::string(20000, '(') + "1" + std::string(20000, ')'), chain}) {
+    ErrorCode code = ErrorCode::kInternal;
+    try {
+      client.Execute(oql);
+    } catch (const net::RemoteError& e) {
+      code = e.code();
+    }
+    EXPECT_EQ(code, ErrorCode::kParse) << oql.size() << "-byte query";
+    net::ClientResult r =
+        client.Execute("count(select e from e in Employees)");
+    EXPECT_EQ(r.rows[0], Value::Int(200));
+  }
+}
+
+TEST_F(NetServerTest, QueryAtTheDepthBudgetRunsEndToEnd) {
+  // A tree exactly kMaxQueryDepth high parses, and every pass after the
+  // parser — normalize, unnest, verify, slot compile, execute — runs it on
+  // a server worker thread.
+  ServiceOptions sopts;
+  sopts.optimizer.verify_plans = true;
+  Harness h(/*scale=*/200, sopts);
+  const std::string prefix =
+      "select distinct e.name from e in Employees where e.age < ";
+  std::string chain = "1";
+  for (int i = 1; i < kMaxQueryDepth - 2; ++i) chain += "+1";
+  const std::string oql = prefix + chain;
+  ASSERT_EQ(oql::Parse(oql)->height, kMaxQueryDepth);
+
+  net::Client client;
+  client.Connect("127.0.0.1", h.port());
+  net::ClientResult remote = client.Execute(oql);
+  auto session = h.svc.OpenSession();
+  Value local = h.svc.Execute(
+      *session, prefix + std::to_string(kMaxQueryDepth - 2));
+  EXPECT_FALSE(remote.rows.empty());
+  EXPECT_EQ(remote.rows, local.AsElems());
+  std::vector<obs::QueryLogRecord> tail = h.svc.query_log().Tail(2);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].verify, "ok");
 }
 
 TEST_F(NetServerTest, GarbageLengthPrefixPoisonsOnlyThatConnection) {

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/runtime/error.h"
+#include "src/runtime/serialize.h"
 
 namespace ldb::oql {
 namespace {
@@ -159,6 +162,50 @@ TEST(ParserTest, Errors) {
   EXPECT_THROW(Parse("1 2"), ParseError);  // trailing garbage
   EXPECT_THROW(Parse("struct(a 1)"), ParseError);
   EXPECT_THROW(Parse("for all x in D x > 1"), ParseError);  // missing ':'
+}
+
+// `1 + 1 + ... + 1` with n terms: a left-deep chain of height n.
+std::string Chain(int n) {
+  std::string s = "1";
+  for (int i = 1; i < n; ++i) s += "+1";
+  return s;
+}
+
+TEST(ParserTest, DepthBudgetCountsTreeHeight) {
+  // Select -> `<` -> the chain: height n + 2.
+  const std::string prefix =
+      "select distinct e.name from e in Employees where e.age < ";
+  NodePtr at = Parse(prefix + Chain(kMaxQueryDepth - 2));
+  EXPECT_EQ(at->height, kMaxQueryDepth);
+  EXPECT_THROW(Parse(prefix + Chain(kMaxQueryDepth - 1)), ParseError);
+  EXPECT_EQ(Parse(Chain(kMaxQueryDepth))->height, kMaxQueryDepth);
+  EXPECT_THROW(Parse(Chain(kMaxQueryDepth + 1)), ParseError);
+
+  std::string path = "e";
+  for (int i = 0; i < kMaxQueryDepth; ++i) path += ".a";
+  EXPECT_THROW(Parse(path), ParseError);
+}
+
+TEST(ParserTest, HostileNestingIsAParseErrorNotACrash) {
+  // Each of these used to recurse (or build a tree) deep enough to overflow
+  // the stack — in the parser or in a pass after it.
+  const int n = 50000;
+  EXPECT_THROW(Parse(std::string(20000, '(') + "1" + std::string(20000, ')')),
+               ParseError);
+  EXPECT_THROW(Parse(Chain(n)), ParseError);
+  std::string nots;
+  for (int i = 0; i < n; ++i) nots += "not ";
+  EXPECT_THROW(Parse(nots + "true"), ParseError);
+  EXPECT_THROW(Parse(std::string(n, '-') + "1"), ParseError);
+  std::string aggs;
+  for (int i = 0; i < n; ++i) aggs += "count(";
+  EXPECT_THROW(Parse(aggs + "x" + std::string(n, ')')), ParseError);
+  try {
+    Parse(Chain(n));
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("deeper than"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ParserTest, KeywordsNotUsableAsRangeVariables) {

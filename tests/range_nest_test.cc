@@ -4,10 +4,10 @@
 // instead of NLOuterJoin + HashNest; kHashNestJoin handles equi keys with a
 // per-key fold, built in parallel over a large right side, instead of
 // HashOuterJoin + HashNest. Every eligible shape must give exactly what the
-// nested-loop baseline, the materializing executor, the Env pipeline (which
-// runs the HashNest(outer join) expansion) and the slot engine at every
-// thread count give; ineligible shapes must keep the old plan; the build
-// must poll cancellation and return every byte it charged.
+// nested-loop baseline, the materializing executor (which runs the
+// HashNest(outer join) pair) and the slot engine at every thread count
+// give; ineligible shapes must keep the old plan; the build must poll
+// cancellation and return every byte it charged.
 
 #include <gtest/gtest.h>
 
@@ -111,8 +111,8 @@ class RangeNestTest : public ::testing::Test {
     CheckEngines(plan, ExecutePlan(plan, db_).ToString(), expect);
   }
 
-  // Runs the logical `plan` on the Env pipeline and the slot engine, serial
-  // and at 1/2/4/8 threads with morsels small enough to split both sides
+  // Runs the logical `plan` on the slot engine, serial and at 1/2/4/8
+  // threads with morsels small enough to split both sides
   // (so the parallel builds engage), and checks each gives `expected`.
   void CheckEngines(const AlgPtr& logical, const std::string& expected,
                     const std::string& expect) {
@@ -125,11 +125,6 @@ class RangeNestTest : public ::testing::Test {
       EXPECT_EQ(plan.find("NestJoin"), std::string::npos) << plan;
       EXPECT_NE(plan.find("HashNest["), std::string::npos) << plan;
     }
-
-    ExecOptions env;
-    env.use_slot_frames = false;
-    EXPECT_EQ(ExecutePipelined(phys, db_, env).ToString(), expected)
-        << "Env\n" << plan;
 
     SlotPlan sp = CompileSlotPlan(phys, db_);
     VerifyReport report = VerifySlotPlan(sp);
@@ -631,7 +626,6 @@ class RangeNestRuntimeTest : public RangeNestTest {
   Value Run(const char* oql, const ExecOptions& exec) {
     CompiledQuery q = Compile(ParseOQL(oql));
     PhysPtr phys = PlanPhysical(q.simplified, db_);
-    if (!exec.use_slot_frames) return ExecutePipelined(phys, db_, exec);
     return ExecuteSlotPlan(CompileSlotPlan(phys, db_), db_, exec);
   }
 
@@ -675,26 +669,19 @@ TEST_F(RangeNestRuntimeTest, BudgetAbortReleasesEveryCharge) {
   db_ = workload::MakeCompanyDatabase(p);
   for (const char* oql : {kPJA, kPA}) {
     for (int threads : {1, 4}) {
-      for (bool slot_frames : {true, false}) {
-        if (!slot_frames && threads > 1) continue;  // Env runs serially
-        obs::QueryResourceContext ctx(/*budget_bytes=*/2048);
-        ExecOptions exec;
-        exec.n_threads = threads;
-        exec.morsel_size = 32;
-        exec.use_slot_frames = slot_frames;
-        exec.resource = &ctx;
-        EXPECT_THROW(Run(oql, exec), obs::QueryMemoryExceeded)
-            << oql << ", " << threads << " threads, slot=" << slot_frames;
-        EXPECT_TRUE(ctx.OverBudget());
-        EXPECT_EQ(ctx.InUseBytes(), 0u)
-            << oql << ", " << threads << " threads, slot=" << slot_frames;
-        if (slot_frames) {
-          // The slot engine's build charges under the operator's own class.
-          const PhysKind kind = oql == kPA ? PhysKind::kHashNestJoin
-                                           : PhysKind::kRangeNestJoin;
-          EXPECT_GT(ctx.OpPeakBytes(static_cast<int>(kind)), 0u) << oql;
-        }
-      }
+      obs::QueryResourceContext ctx(/*budget_bytes=*/2048);
+      ExecOptions exec;
+      exec.n_threads = threads;
+      exec.morsel_size = 32;
+      exec.resource = &ctx;
+      EXPECT_THROW(Run(oql, exec), obs::QueryMemoryExceeded)
+          << oql << ", " << threads << " threads";
+      EXPECT_TRUE(ctx.OverBudget());
+      EXPECT_EQ(ctx.InUseBytes(), 0u) << oql << ", " << threads << " threads";
+      // The build charges under the operator's own class.
+      const PhysKind kind = oql == kPA ? PhysKind::kHashNestJoin
+                                       : PhysKind::kRangeNestJoin;
+      EXPECT_GT(ctx.OpPeakBytes(static_cast<int>(kind)), 0u) << oql;
     }
     // Unbudgeted, the build hands everything back.
     for (int threads : {1, 4}) {

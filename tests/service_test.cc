@@ -1,6 +1,6 @@
 // Query service tests: parameterized prepared statements, the plan cache
-// (hits, eviction, key soundness), cooperative cancellation under both
-// engines serial and morsel-parallel, admission control, memory budgets,
+// (hits, eviction, key soundness), cooperative cancellation serial and
+// morsel-parallel, admission control, memory budgets,
 // and index rebuild on load (docs/SERVICE.md).
 
 #include "src/service/query_service.h"
@@ -86,19 +86,6 @@ TEST_F(ServiceTest, NamedParameter) {
                       "where p.build_date < 1500)"));
 }
 
-TEST_F(ServiceTest, ParameterWorksUnderEnvEngine) {
-  QueryService svc(db_);
-  SessionOptions so;
-  so.use_slot_frames = false;
-  auto session = svc.OpenSession(so);
-  session->Bind("1", Value::Int(7));
-  Value r = svc.Execute(
-      *session, "select distinct p.x from p in AtomicParts where p.id = $1");
-  EXPECT_EQ(r, RunOQL(db_,
-                      "select distinct p.x from p in AtomicParts "
-                      "where p.id = 7"));
-}
-
 TEST_F(ServiceTest, UnboundParameterIsEvalError) {
   QueryService svc(db_);
   auto session = svc.OpenSession();
@@ -131,23 +118,6 @@ TEST_F(ServiceTest, SecondExecutionHitsCacheWithIdenticalResult) {
   std::string json = ProfileToJson(p2);
   EXPECT_NE(json.find("\"plan_cached\": 1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"cache_hits\": "), std::string::npos) << json;
-}
-
-TEST_F(ServiceTest, CachedPlanIdenticalUnderBothEngines) {
-  QueryService svc(db_);
-  auto slot = svc.OpenSession();
-  SessionOptions env_opts;
-  env_opts.use_slot_frames = false;
-  auto env = svc.OpenSession(env_opts);
-
-  // One compiled plan (same cache key) serves both engines.
-  QueryStats s1, s2;
-  Value via_slot = svc.Execute(*slot, kNestQuery, &s1);
-  Value via_env = svc.Execute(*env, kNestQuery, &s2);
-  EXPECT_FALSE(s1.plan_cached);
-  EXPECT_TRUE(s2.plan_cached);
-  EXPECT_EQ(via_slot, via_env);
-  EXPECT_EQ(via_slot, RunOQL(db_, kNestQuery));
 }
 
 TEST_F(ServiceTest, PreparedStatementSecondExecutionHitsCache) {
@@ -249,16 +219,6 @@ TEST_F(ServiceTest, DeadlineAbortsNestSerialAndParallel) {
     session->options().deadline_ms = 0;
     EXPECT_EQ(svc.Execute(*session, kNestQuery), RunOQL(big, kNestQuery));
   }
-}
-
-TEST_F(ServiceTest, DeadlineAbortsEnvEngine) {
-  Database big = LargeOO7();
-  QueryService svc(big);
-  SessionOptions so;
-  so.deadline_ms = 1;
-  so.use_slot_frames = false;
-  auto session = svc.OpenSession(so);
-  EXPECT_THROW(svc.Execute(*session, kHashJoinQuery), QueryCancelled);
 }
 
 TEST_F(ServiceTest, ExplicitCancelFromAnotherThread) {

@@ -485,7 +485,7 @@ TEST(VerifyPipelineTest, CompileRecordsVerifyStagesInTrace) {
             stages.end());
   EXPECT_NE(std::find(stages.begin(), stages.end(), "algebra-unnested"),
             stages.end());
-  // Execution adds the slot-plan layer (use_slot_frames defaults on).
+  // Execution adds the slot-plan layer.
   opt.Execute(q, db);
   bool saw_slots = false;
   for (const VerifyStageSummary& s : q.trace->verify_stages) {
@@ -613,6 +613,32 @@ TEST(CalcParserTest, RejectsWhatThePrinterCannotEmit) {
   EXPECT_THROW(ParseCalculus("set{ x | }"), ParseError);   // empty qualifier
   EXPECT_THROW(ParseCalculus("zero[nope]"), ParseError);   // unknown monoid
   EXPECT_THROW(ParseCalculus("<a=>"), ParseError);         // missing field
+}
+
+TEST(CalcParserTest, DepthBudgetBoundsTermsAndLiterals) {
+  // Printed binary operations are parenthesized: n of them nest n deep.
+  auto bins = [](int n) {
+    std::string s = "1";
+    for (int i = 0; i < n; ++i) s = "(" + s + " + 1)";
+    return s;
+  };
+  EXPECT_NO_THROW(ParseCalculus(bins(kMaxQueryDepth - 1)));
+  EXPECT_THROW(ParseCalculus(bins(kMaxQueryDepth)), ParseError);
+  // Projection chains build their height without recursing.
+  std::string path = "x";
+  for (int i = 1; i < kMaxQueryDepth; ++i) path += ".a";
+  EXPECT_NO_THROW(ParseCalculus(path));
+  EXPECT_THROW(ParseCalculus(path + ".a"), ParseError);
+
+  const int n = 50000;
+  EXPECT_THROW(ParseCalculus(std::string(n, '(') + "1" + std::string(n, ')')),
+               ParseError);
+  EXPECT_THROW(ParseCalculus(std::string(n, '{') + std::string(n, '}')),
+               ParseError);
+  std::string nots;
+  for (int i = 0; i < n; ++i) nots += "not(";
+  EXPECT_THROW(ParseCalculus(nots + "true" + std::string(n, ')')),
+               ParseError);
 }
 
 }  // namespace
