@@ -1,16 +1,20 @@
 // Micro-benchmarks of the optimizer stages themselves (google-benchmark):
 // lexing/parsing, translation, normalization, unnesting, simplification, and
-// full compilation, plus value-layer probes (set canonicalization). The paper claims the unnesting algorithm "takes time
+// full compilation, plus value-layer probes (set canonicalization) and
+// per-row layer probes (BM_Layer_*: ns per scan row, projection, compare,
+// hash probe and fold). The paper claims the unnesting algorithm "takes time
 // linear to the size of the query" (Section 8); BM_Unnest_ChainLength checks
 // that compile time grows roughly linearly in the number of nested levels.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <unordered_map>
 #include <string>
 #include <vector>
 
 #include "src/lambdadb.h"
+#include "src/runtime/frame.h"
 #include "src/workload/company.h"
 
 namespace {
@@ -265,6 +269,111 @@ void BM_Canon_MergeRuns16(benchmark::State& state) {
 BENCHMARK(BM_Canon_MergeRuns16)
     ->ArgsProduct({{1000, 32000}, {0, 1}, {1, 4}})
     ->UseRealTime();
+
+// Per-row layer probes over the 32 000-employee Company database: what one
+// scan row, one ref -> attribute projection, one value compare, one hash
+// probe and one fold step cost. Each reports `ns_per_op` (wall time per
+// operation, serial).
+const Database& LayerDb() {
+  static const Database db = [] {
+    workload::CompanyParams p;
+    p.n_employees = 32000;
+    p.n_departments = 800;
+    p.n_managers = 320;
+    p.seed = 1;
+    return workload::MakeCompanyDatabase(p);
+  }();
+  return db;
+}
+
+// Each employee's value of `attr`, in extent order.
+Elems EmployeeAttr(const std::string& attr) {
+  const Database& db = LayerDb();
+  Elems out;
+  for (const Value& e : db.Extent("Employees")) out.push_back(db.Navigate(e, attr));
+  return out;
+}
+
+void SetNsPerOp(benchmark::State& state, size_t ops_per_iteration) {
+  state.counters["ns_per_op"] = benchmark::Counter(
+      static_cast<double>(ops_per_iteration) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+void BM_Layer_ScanRow(benchmark::State& state) {
+  const Database& db = LayerDb();
+  Optimizer opt(db.schema());
+  CompiledQuery q = opt.Compile(ParseOQL("count(select e from e in Employees)"));
+  for (auto _ : state) benchmark::DoNotOptimize(opt.Execute(q, db));
+  SetNsPerOp(state, db.Extent("Employees").size());
+}
+BENCHMARK(BM_Layer_ScanRow);
+
+void BM_Layer_Projection(benchmark::State& state) {
+  const Database& db = LayerDb();
+  const std::vector<Value>& refs = db.Extent("Employees");
+  auto slot = std::make_shared<CExpr>();
+  slot->kind = CExprKind::kSlot;
+  slot->slot = 0;
+  CExpr proj;
+  proj.kind = CExprKind::kProj;
+  proj.proj_id = 0;
+  proj.name = "salary";
+  proj.a = slot;
+  FrameEvaluator fev(db);
+  Frame frame(1);
+  for (auto _ : state) {
+    double sum = 0;
+    for (const Value& ref : refs) {
+      frame[0] = ref;
+      Value scratch;
+      sum += fev.EvalPtr(proj, frame, &scratch)->AsNumeric();
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  SetNsPerOp(state, refs.size());
+}
+BENCHMARK(BM_Layer_Projection);
+
+void BM_Layer_Compare(benchmark::State& state) {
+  const Elems names = EmployeeAttr("name");
+  for (auto _ : state) {
+    int less = 0;
+    for (size_t i = 1; i < names.size(); ++i) {
+      less += Value::Compare(names[i - 1], names[i]) < 0;
+    }
+    benchmark::DoNotOptimize(less);
+  }
+  SetNsPerOp(state, names.size() - 1);
+}
+BENCHMARK(BM_Layer_Compare);
+
+void BM_Layer_HashProbe(benchmark::State& state) {
+  const Database& db = LayerDb();
+  std::unordered_map<Value, int, ValueHash> table;
+  for (const Value& d : db.Extent("Departments")) {
+    table.emplace(db.Navigate(d, "dno"), 1);
+  }
+  const Elems keys = EmployeeAttr("dno");
+  for (auto _ : state) {
+    int hits = 0;
+    for (const Value& k : keys) hits += table.count(k) != 0;
+    benchmark::DoNotOptimize(hits);
+  }
+  SetNsPerOp(state, keys.size());
+}
+BENCHMARK(BM_Layer_HashProbe);
+
+void BM_Layer_Fold(benchmark::State& state) {
+  const Elems salaries = EmployeeAttr("salary");
+  for (auto _ : state) {
+    Accumulator acc(MonoidKind::kSum);
+    for (const Value& v : salaries) acc.Add(v);
+    benchmark::DoNotOptimize(acc.Finish());
+  }
+  SetNsPerOp(state, salaries.size());
+}
+BENCHMARK(BM_Layer_Fold);
 
 }  // namespace
 

@@ -20,7 +20,7 @@ TypePtr LiteralType(const Value& v) {
     case Value::Kind::kStr:
       return Type::Str();
     case Value::Kind::kRef:
-      return Type::Class(v.AsRef().class_name);
+      return Type::Class(v.AsRef().class_name());
     case Value::Kind::kTuple: {
       std::vector<std::pair<std::string, TypePtr>> fields;
       for (const auto& [n, f] : v.AsTuple()) fields.emplace_back(n, LiteralType(f));

@@ -23,10 +23,10 @@ void MemoryTracker::FlushNoThrow() {
     return;
   }
   for (int c = 0; c < QueryResourceContext::kMaxOpClasses; ++c) {
-    if (pending_[c] != 0) {
-      ctx_->Apply(c, pending_[c]);
-      pending_[c] = 0;
-    }
+    if (pending_peak_[c] > 0) ctx_->Apply(c, pending_peak_[c]);
+    if (pending_[c] != pending_peak_[c]) ctx_->Apply(c, pending_[c] - pending_peak_[c]);
+    pending_[c] = 0;
+    pending_peak_[c] = 0;
   }
   unflushed_ = 0;
 #endif

@@ -258,11 +258,18 @@ class MemoryTracker {
       op_class = QueryResourceContext::kMaxOpClasses - 1;
     }
     pending_[op_class] += delta;
+    if (pending_[op_class] > pending_peak_[op_class]) {
+      pending_peak_[op_class] = pending_[op_class];
+    }
     unflushed_ += static_cast<uint64_t>(delta < 0 ? -delta : delta);
   }
 
   QueryResourceContext* ctx_ = nullptr;
   int64_t pending_[QueryResourceContext::kMaxOpClasses] = {};
+  // Highest pending_ since the last flush: a flush applies it first, so a
+  // reservation charged and released between two flushes still reaches
+  // the context's peaks instead of netting to zero.
+  int64_t pending_peak_[QueryResourceContext::kMaxOpClasses] = {};
   uint64_t unflushed_ = 0;
   uint64_t flush_bytes_ = kFlushBytes;
 #endif

@@ -6,28 +6,49 @@
 
 namespace ldb {
 
+namespace {
+
+// `object` on the class's shared shape when its field names match the
+// class's attributes in order; otherwise unchanged (it keeps its own).
+Value OnClassShape(Value object, const ShapePtr& shape) {
+  const TupleView t = object.AsTuple();
+  if (&t.shape() == shape.get() || !t.shape().SameNames(*shape)) return object;
+  Value* out;
+  Value shared = Value::NewTuple(shape, &out);
+  for (size_t i = 0; i < t.size(); ++i) out[i] = t.value(i);
+  return shared;
+}
+
+}  // namespace
+
 Value Database::Insert(const std::string& class_name, Value object) {
   const ClassDecl* decl = schema_.FindClass(class_name);
   if (decl == nullptr) throw TypeError("unknown class '" + class_name + "'");
   if (object.kind() != Value::Kind::kTuple) {
     throw EvalError("object must be a tuple: " + object.ToString());
   }
-  auto& vec = objects_[class_name];
-  int64_t oid = static_cast<int64_t>(vec.size());
-  vec.push_back(std::move(object));
-  Value ref = Value::MakeRef(class_name, oid);
+  ClassStore& store = objects_[class_name];
+  if (!store.shape) {
+    store.id = InternClassName(class_name);
+    std::vector<std::string> names;
+    for (const auto& [attr, type] : decl->attributes) names.push_back(attr);
+    store.shape = std::make_shared<const Shape>(std::move(names));
+  }
+  Value ref = Value::MakeRef(store.id, static_cast<int64_t>(store.objects.size()));
+  store.objects.push_back(OnClassShape(std::move(object), store.shape));
   if (!decl->extent.empty()) extents_[decl->extent].push_back(ref);
   return ref;
 }
 
 void Database::Update(const Value& ref, Value object) {
-  const Ref& r = ref.AsRef();
-  auto it = objects_.find(r.class_name);
+  const Ref r = ref.AsRef();
+  auto it = objects_.find(r.class_name());
   if (it == objects_.end() || r.oid < 0 ||
-      r.oid >= static_cast<int64_t>(it->second.size())) {
+      r.oid >= static_cast<int64_t>(it->second.objects.size())) {
     throw EvalError("dangling reference " + ref.ToString());
   }
-  it->second[static_cast<size_t>(r.oid)] = std::move(object);
+  it->second.objects[static_cast<size_t>(r.oid)] =
+      OnClassShape(std::move(object), it->second.shape);
 }
 
 const std::vector<Value>& Database::ObjectsOf(
@@ -36,17 +57,22 @@ const std::vector<Value>& Database::ObjectsOf(
   if (it == objects_.end()) {
     throw EvalError("no objects of class " + class_name);
   }
-  return it->second;
+  return it->second.objects;
+}
+
+const Shape* Database::ClassShape(const std::string& class_name) const {
+  auto it = objects_.find(class_name);
+  return it == objects_.end() ? nullptr : it->second.shape.get();
 }
 
 const Value& Database::Deref(const Ref& ref) const {
-  auto it = objects_.find(ref.class_name);
+  auto it = objects_.find(ref.class_name());
   if (it == objects_.end() || ref.oid < 0 ||
-      ref.oid >= static_cast<int64_t>(it->second.size())) {
-    throw EvalError("dangling reference " + ref.class_name + "#" +
+      ref.oid >= static_cast<int64_t>(it->second.objects.size())) {
+    throw EvalError("dangling reference " + ref.class_name() + "#" +
                     std::to_string(ref.oid));
   }
-  return it->second[static_cast<size_t>(ref.oid)];
+  return it->second.objects[static_cast<size_t>(ref.oid)];
 }
 
 const std::vector<Value>& Database::Extent(const std::string& extent_name) const {
@@ -68,7 +94,7 @@ Value Database::Navigate(const Value& v, const std::string& attr) const {
 
 size_t Database::ObjectCount() const {
   size_t n = 0;
-  for (const auto& [cls, vec] : objects_) n += vec.size();
+  for (const auto& [cls, store] : objects_) n += store.objects.size();
   return n;
 }
 

@@ -1,9 +1,11 @@
 // In-memory object store: one vector of objects per class, addressed by
-// (class name, oid) references.
+// (class id, oid) references.
 //
 // Objects are record Values; relationship attributes hold Ref values (or
 // collections of Refs). Path navigation `e.manager.children` dereferences
-// through the store.
+// through the store. Every object whose field names match its ClassDecl's
+// attributes, in order, shares the class's one Shape, so a projection over
+// a class finds its field at the same position in every object.
 
 #ifndef LAMBDADB_RUNTIME_DATABASE_H_
 #define LAMBDADB_RUNTIME_DATABASE_H_
@@ -31,7 +33,8 @@ class Database {
   Value Insert(const std::string& class_name, Value object);
 
   /// Replaces the attributes of an existing object (used by generators to
-  /// patch cyclic references after allocation). Throws on a dangling ref.
+  /// patch cyclic references after allocation). Throws on a dangling ref,
+  /// EvalError if `object` is not a tuple.
   void Update(const Value& ref, Value object);
 
   /// Returns the object a Ref points to. Throws EvalError on dangling refs.
@@ -42,6 +45,10 @@ class Database {
   /// hash lookup once instead of per Deref. Throws EvalError if the class
   /// has no store.
   const std::vector<Value>& ObjectsOf(const std::string& class_name) const;
+
+  /// The shared shape of a class's objects (its ClassDecl attribute names),
+  /// or nullptr before the class's first Insert.
+  const Shape* ClassShape(const std::string& class_name) const;
 
   /// Returns the extent of a class as a vector of Refs, in insertion order.
   /// Throws TypeError if `extent_name` is not a declared extent.
@@ -85,8 +92,14 @@ class Database {
   std::vector<std::pair<std::string, std::string>> IndexSpecs() const;
 
  private:
+  struct ClassStore {
+    ShapePtr shape;  ///< the ClassDecl's attribute names
+    ClassId id = 0;
+    std::vector<Value> objects;  ///< indexed by oid
+  };
+
   Schema schema_;
-  std::map<std::string, std::vector<Value>> objects_;  // class -> objects
+  std::map<std::string, ClassStore> objects_;  // class -> objects
   std::map<std::string, std::vector<Value>> extents_;  // extent -> refs
 
   using IndexKey = std::pair<std::string, std::string>;  // (extent, attr)

@@ -196,7 +196,8 @@ Value EvalKeyTuple(FrameEvaluator* fev, Frame& frame,
 
 // Probe-side variant of EvalKeyTuple: the key is only looked up, never
 // stored, so a single-key probe can use the pointer path and skip the
-// 128-byte Value copy per probe row.
+// Value copy (and, for an out-of-line key, its shared-count round trip)
+// per probe row.
 const Value* EvalKeyPtr(FrameEvaluator* fev, Frame& frame,
                         const std::vector<CExprPtr>& keys, Value* scratch) {
   if (keys.size() == 1) return fev->EvalPtr(*keys[0], frame, scratch);

@@ -152,10 +152,19 @@ Value ExprEvaluator::Eval(const ExprPtr& e, const Env& env) {
     case ExprKind::kLiteral:
       return e->literal;
     case ExprKind::kRecord: {
-      Fields fields;
-      fields.reserve(e->fields.size());
-      for (const auto& [n, f] : e->fields) fields.emplace_back(n, Eval(f, env));
-      return Value::Tuple(std::move(fields));
+      auto& [node, shape] = record_shapes_[e.get()];
+      if (!shape) {
+        std::vector<std::string> names;
+        for (const auto& [n, f] : e->fields) names.push_back(n);
+        node = e;
+        shape = std::make_shared<const Shape>(std::move(names));
+      }
+      Value* out;
+      Value tuple = Value::NewTuple(shape, &out);
+      for (size_t i = 0; i < e->fields.size(); ++i) {
+        out[i] = Eval(e->fields[i].second, env);
+      }
+      return tuple;
     }
     case ExprKind::kProj:
       return db_.Navigate(Eval(e->a, env), e->name);

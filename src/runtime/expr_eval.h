@@ -111,6 +111,9 @@ class ExprEvaluator {
   const std::map<std::string, Value>* params_ = nullptr;
   const CancelToken* cancel_ = nullptr;
   std::map<std::string, Value> extent_cache_;
+  // One shape per record constructor, made on its first evaluation. The
+  // entry holds the node, so its address is not reused while cached.
+  std::map<const Expr*, std::pair<ExprPtr, ShapePtr>> record_shapes_;
 };
 
 }  // namespace ldb

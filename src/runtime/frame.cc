@@ -12,8 +12,7 @@ const Value* FrameEvaluator::EvalProjPtr(const CExpr& e, const Value& base,
                                          Value* scratch) {
   if (base.is_null()) return &kNullValue;  // NULL navigation yields NULL
   if (e.proj_id < 0) {
-    Value v = db_.Navigate(base, e.name);
-    *scratch = std::move(v);
+    *scratch = db_.Navigate(base, e.name);
     return scratch;
   }
   if (proj_cache_.size() <= static_cast<size_t>(e.proj_id)) {
@@ -22,30 +21,23 @@ const Value* FrameEvaluator::EvalProjPtr(const CExpr& e, const Value& base,
   ProjCache& pc = proj_cache_[static_cast<size_t>(e.proj_id)];
   const Value* obj = &base;
   if (base.kind() == Value::Kind::kRef) {
-    const Ref& r = base.AsRef();
-    if (pc.class_vec == nullptr || pc.cls != r.class_name) {
-      pc.class_vec = &db_.ObjectsOf(r.class_name);
-      pc.cls = r.class_name;
+    const Ref r = base.AsRef();
+    if (pc.class_vec == nullptr || pc.cls != r.class_id) {
+      pc.class_vec = &db_.ObjectsOf(r.class_name());
+      pc.cls = r.class_id;
     }
     if (r.oid < 0 || r.oid >= static_cast<int64_t>(pc.class_vec->size())) {
-      throw EvalError("dangling reference " + r.class_name + "#" +
+      throw EvalError("dangling reference " + r.class_name() + "#" +
                       std::to_string(r.oid));
     }
     obj = &(*pc.class_vec)[static_cast<size_t>(r.oid)];
   }
-  const Fields& fs = obj->AsTuple();
-  if (pc.field_idx >= 0 && static_cast<size_t>(pc.field_idx) < fs.size() &&
-      fs[static_cast<size_t>(pc.field_idx)].first == e.name) {
-    return &fs[static_cast<size_t>(pc.field_idx)].second;
-  }
-  for (size_t i = 0; i < fs.size(); ++i) {
-    if (fs[i].first == e.name) {
-      pc.field_idx = static_cast<int>(i);
-      return &fs[i].second;
-    }
-  }
-  throw EvalError("tuple has no attribute '" + e.name + "': " +
-                  obj->ToString());
+  const TupleView t = obj->AsTuple();
+  if (&t.shape() == pc.shape.get()) return &t.value(pc.field_idx);
+  const Value& field = obj->Field(e.name);  // throws as Navigate does
+  pc.shape = t.shape_ptr();
+  pc.field_idx = static_cast<size_t>(&field - &t.value(0));
+  return &field;
 }
 
 const Value* FrameEvaluator::EvalPtr(const CExpr& e, Frame& frame,
@@ -85,12 +77,12 @@ Value FrameEvaluator::Eval(const CExpr& e, Frame& frame) {
     case CExprKind::kLit:
       return e.literal;
     case CExprKind::kRecord: {
-      Fields fields;
-      fields.reserve(e.fields.size());
-      for (const auto& [n, f] : e.fields) {
-        fields.emplace_back(n, Eval(*f, frame));
+      Value* out;
+      Value tuple = Value::NewTuple(e.shape, &out);
+      for (size_t i = 0; i < e.fields.size(); ++i) {
+        out[i] = Eval(*e.fields[i].second, frame);
       }
-      return Value::Tuple(std::move(fields));
+      return tuple;
     }
     case CExprKind::kProj: {
       Value scratch;

@@ -64,6 +64,7 @@ struct CExpr {
   UnOpKind un_op{};    // kUnOp
   MonoidKind monoid{}; // kMerge
   std::vector<std::pair<std::string, CExprPtr>> fields;  // kRecord
+  ShapePtr shape;      // kRecord: built once, shared by every row's tuple
   CExprPtr a, b, c;
 
   // kFallback: the original term plus the (free-variable-restricted) mapping
@@ -87,10 +88,11 @@ class FrameEvaluator {
   /// Copy-free evaluation for operand positions: slot reads, literals, and
   /// projections return a pointer to existing storage (the frame, the plan,
   /// the object store, or `*scratch` when the result had to be computed).
-  /// Value is 128 bytes with two strings and two shared_ptrs inside, so
-  /// skipping the copy is the difference on comparison-heavy inner loops.
-  /// The pointer is valid until `frame`, `*scratch`, or the database is
-  /// next mutated.
+  /// A Value copy is 16 bytes plus, for an out-of-line payload, an atomic
+  /// increment and decrement on a count that every morsel worker reading
+  /// the same object shares; skipping it keeps comparison-heavy inner
+  /// loops off that cache line. The pointer is valid until `frame`,
+  /// `*scratch`, or the database is next mutated.
   const Value* EvalPtr(const CExpr& e, Frame& frame, Value* scratch);
 
   /// Routes parameter bindings to the embedded fallback interpreter (the
@@ -118,16 +120,19 @@ class FrameEvaluator {
   const Database& db() const { return db_; }
 
  private:
-  // Per-kProj-site memo: schema-homogeneous inputs make the object-store
-  // lookup and the tuple field position stable across rows, so each is
-  // resolved once and then validated with one cheap comparison per row
-  // (falling back to the full lookup on mismatch — semantics are identical
-  // to Database::Navigate). Per-evaluator state, so thread-safe: workers
-  // each own a FrameEvaluator.
+  // Per-kProj-site memo: schema-homogeneous inputs make the object store
+  // and the tuple field position stable across rows, so each is resolved
+  // once and then validated per row by two integer compares — the Ref's
+  // class id and the tuple's shape pointer — with no string compare. A
+  // miss falls back to the name lookup, with exactly Database::Navigate's
+  // semantics. The memo owns a reference to its shape, so the address
+  // cannot be freed and reused by a different shape while cached.
+  // Per-evaluator state, so thread-safe: workers each own a FrameEvaluator.
   struct ProjCache {
-    const std::vector<Value>* class_vec = nullptr;  ///< resolved object store
-    std::string cls;                                ///< class it belongs to
-    int field_idx = -1;                             ///< last tuple hit
+    ClassId cls = 0;
+    const std::vector<Value>* class_vec = nullptr;  ///< store of `cls`
+    ShapePtr shape;                                 ///< last tuple's shape
+    size_t field_idx = 0;                           ///< e.name in `shape`
   };
 
   const Value* EvalProjPtr(const CExpr& e, const Value& base, Value* scratch);

@@ -16,7 +16,7 @@ namespace {
 
 // -- writing ------------------------------------------------------------------
 
-void WriteString(std::ostream& os, const std::string& s) {
+void WriteString(std::ostream& os, std::string_view s) {
   os << s.size() << ':' << s;
 }
 
@@ -77,8 +77,9 @@ void WriteValue(std::ostream& os, const Value& v) {
       WriteString(os, v.AsStr());
       return;
     case Value::Kind::kTuple: {
-      os << 't' << v.AsTuple().size() << '(';
-      for (const auto& [n, f] : v.AsTuple()) {
+      const TupleView t = v.AsTuple();
+      os << 't' << t.size() << '(';
+      for (const auto& [n, f] : t) {
         WriteString(os, n);
         WriteValue(os, f);
       }
@@ -96,11 +97,13 @@ void WriteValue(std::ostream& os, const Value& v) {
       os << ')';
       return;
     }
-    case Value::Kind::kRef:
+    case Value::Kind::kRef: {
+      const Ref r = v.AsRef();
       os << 'f';
-      WriteString(os, v.AsRef().class_name);
-      os << '#' << v.AsRef().oid << ';';
+      WriteString(os, r.class_name());
+      os << '#' << r.oid << ';';
       return;
+    }
   }
 }
 

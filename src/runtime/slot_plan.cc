@@ -231,13 +231,17 @@ class Compiler {
         out->kind = CExprKind::kLit;
         out->literal = e->literal;
         return out;
-      case ExprKind::kRecord:
+      case ExprKind::kRecord: {
         out->kind = CExprKind::kRecord;
+        std::vector<std::string> names;
         out->fields.reserve(e->fields.size());
         for (const auto& [n, f] : e->fields) {
+          names.push_back(n);
           out->fields.emplace_back(n, CompileExpr(f, scope));
         }
+        out->shape = std::make_shared<const Shape>(std::move(names));
         return out;
+      }
       case ExprKind::kProj:
         out->kind = CExprKind::kProj;
         out->proj_id = next_proj_id_++;  // keys the evaluator's deref cache

@@ -22,6 +22,7 @@
 #include "src/net/server.h"
 #include "src/net/wire.h"
 #include "src/oql/parser.h"
+#include "src/runtime/error.h"
 #include "src/runtime/serialize.h"
 #include "src/service/query_service.h"
 #include "src/workload/company.h"
@@ -728,6 +729,36 @@ TEST_F(NetServerTest, DeepBindValueGetsParseErrorAndConnSurvives) {
   EXPECT_EQ(ErrorReply::Parse(f.payload).code, ErrorCode::kParse)
       << ErrorReply::Parse(f.payload).message;
   net::ClientResult r = client.Execute("count(select e from e in Employees)");
+  EXPECT_EQ(r.rows[0], Value::Int(200));
+}
+
+TEST_F(NetServerTest, BindPastTheClassNameCapGetsErrorAndConnSurvives) {
+  // Refs name their class through a process-wide intern table. A BIND
+  // carrying refs to 100 000 distinct class names must not grow it past
+  // kMaxClassNames: the decode fails with ERROR once the table is full,
+  // and the connection, and the classes interned before, keep working.
+  Harness h;
+  net::Client client;
+  client.Connect("127.0.0.1", h.port());
+  const int n = 100000;
+  std::string refs = "l" + std::to_string(n) + "(";
+  for (int i = 0; i < n; ++i) {
+    const std::string cls = "BindCapClass" + std::to_string(i);
+    refs += "f" + std::to_string(cls.size()) + ":" + cls + "#0;";
+  }
+  refs += ")";
+  BindRequest bind;
+  bind.params.emplace_back("1", refs);
+  client.SendRaw(bind.Encode());
+  Frame f = client.ReadFrame();
+  ASSERT_EQ(f.opcode, Opcode::kError);
+  EXPECT_EQ(ErrorReply::Parse(f.payload).code, ErrorCode::kEval)
+      << ErrorReply::Parse(f.payload).message;
+  EXPECT_THROW(InternClassName("BindCapClass" + std::to_string(n)), EvalError);
+  EXPECT_NO_THROW(InternClassName("Employee"));
+  net::ClientResult r = client.Execute("count(select e from e in Employees)");
+  EXPECT_EQ(r.rows[0], Value::Int(200));
+  r = client.Execute("count(select e.manager.name from e in Employees)");
   EXPECT_EQ(r.rows[0], Value::Int(200));
 }
 

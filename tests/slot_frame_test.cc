@@ -16,6 +16,7 @@
 #include "src/core/normalize.h"
 #include "src/core/unnest.h"
 #include "src/runtime/exec_pipeline.h"
+#include "src/runtime/frame.h"
 #include "tests/test_util.h"
 
 namespace ldb {
@@ -258,6 +259,54 @@ TEST_F(SlotFrameTest, MorselSizeExtremes) {
     par.exec.morsel_size = morsel;
     EXPECT_EQ(RunOQL(db_, q, par), serial) << "morsel_size=" << morsel;
   }
+}
+
+TEST(ProjectionMemoTest, MixedShapesNullsAndClassesMatchNavigate) {
+  // One projection site sees, in alternation: objects of two classes whose
+  // `x` sits at different positions, free tuples of two shapes (again with
+  // `x` at different positions), and NULL. Every row must be what
+  // Database::Navigate gives, so the per-site (class id, shape) memo can
+  // never serve a stale position.
+  Schema schema;
+  schema.AddClass(ClassDecl{"A", "As", {{"x", Type::Int()}, {"y", Type::Int()}}});
+  schema.AddClass(ClassDecl{"B", "Bs", {{"y", Type::Int()}, {"x", Type::Int()}}});
+  Database db(schema);
+  std::vector<Value> bases;
+  for (int i = 0; i < 6; ++i) {
+    bases.push_back(db.Insert(
+        "A", Value::Tuple({{"x", Value::Int(i)}, {"y", Value::Int(100 + i)}})));
+    bases.push_back(db.Insert(
+        "B", Value::Tuple({{"y", Value::Int(200 + i)}, {"x", Value::Int(300 + i)}})));
+    bases.push_back(Value::Tuple({{"x", Value::Str("first")}, {"z", Value::Int(i)}}));
+    bases.push_back(Value::Tuple({{"z", Value::Int(i)}, {"x", Value::Str("second")}}));
+    bases.push_back(Value::Null());
+  }
+  ASSERT_NE(db.ClassShape("A"), nullptr);
+  EXPECT_EQ(&db.Deref(bases[0].AsRef()).AsTuple().shape(), db.ClassShape("A"))
+      << "inserted objects share their class's shape";
+
+  auto slot = std::make_shared<CExpr>();
+  slot->kind = CExprKind::kSlot;
+  slot->slot = 0;
+  CExpr proj;
+  proj.kind = CExprKind::kProj;
+  proj.proj_id = 0;
+  proj.name = "x";
+  proj.a = slot;
+  FrameEvaluator fev(db);
+  Frame frame(1);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Value& base : bases) {
+      frame[0] = base;
+      Value scratch;
+      EXPECT_EQ(*fev.EvalPtr(proj, frame, &scratch), db.Navigate(base, "x"))
+          << base.ToString();
+    }
+  }
+  frame[0] = Value::Tuple({{"y", Value::Int(1)}});  // no `x`: Navigate's error
+  Value scratch;
+  EXPECT_THROW(fev.EvalPtr(proj, frame, &scratch), EvalError);
+  EXPECT_THROW(db.Navigate(frame[0], "x"), EvalError);
 }
 
 }  // namespace

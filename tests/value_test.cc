@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/runtime/error.h"
@@ -266,6 +268,182 @@ TEST(ValueTest, MergedRunsEqualOneCanonicalization) {
           << "trial " << trial << (dedup ? " (set)" : " (bag)");
     }
   }
+}
+
+// A value that prints differently from every compare-equal twin: the text
+// tells numbers apart by kind and sign, and a tuple by its shape's address.
+std::string Identity(const Value& v) {
+  std::string id = ValueToText(v);
+  if (v.kind() == Value::Kind::kTuple) {
+    id += "@" + std::to_string(reinterpret_cast<uintptr_t>(&v.AsTuple().shape()));
+  }
+  return id;
+}
+
+TEST(ValueTest, InPlaceCanonicalizationMatchesStableSortReference) {
+  // Ties of every kind: 3 / 3.0, -0.0 / 0.0, NaNs of either sign, and equal
+  // tuples on distinct shapes. The reference is std::stable_sort on
+  // (value, stream index), then the first of each equal run for a set.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Value> pool = {
+      Value::Int(3), Value::Real(3.0), Value::Real(-0.0), Value::Real(0.0),
+      Value::Int(0), Value::Real(nan), Value::Real(-nan), Value::Int(-7),
+      Value::Str("short"), Value::Str("a string longer than fourteen"),
+      Value::Tuple({{"k", Value::Int(1)}}), Value::Tuple({{"k", Value::Real(1.0)}}),
+      Value::Tuple({{"k", Value::Int(1)}}), Value::Null()};
+  std::mt19937 rng(11);
+  for (int trial = 0; trial < 300; ++trial) {
+    Elems stream;
+    const size_t n = rng() % 40;
+    for (size_t i = 0; i < n; ++i) stream.push_back(pool[rng() % pool.size()]);
+    for (bool dedup : {false, true}) {
+      std::vector<size_t> order(stream.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return Value::Compare(stream[a], stream[b]) < 0;
+      });
+      std::vector<std::string> want;
+      for (size_t k = 0; k < order.size(); ++k) {
+        if (dedup && k > 0 &&
+            Value::Compare(stream[order[k - 1]], stream[order[k]]) == 0) {
+          continue;
+        }
+        want.push_back(Identity(stream[order[k]]));
+      }
+      Elems got = stream;
+      CanonicalizeElems(&got, dedup);
+      std::vector<std::string> have;
+      for (const Value& v : got) have.push_back(Identity(v));
+      EXPECT_EQ(have, want) << "trial " << trial << (dedup ? " (set)" : " (bag)");
+    }
+  }
+}
+
+TEST(ValueTest, InlineAndOutOfLineStringsBehaveAlike) {
+  // 13 and 14 bytes are stored inline, 15 and 16 out of line; the layout
+  // must not show in order, equality, hash or text.
+  std::vector<std::string> texts;
+  for (size_t len = 13; len <= 16; ++len) {
+    texts.push_back(std::string(len, 'x'));
+    texts.push_back(std::string(len - 1, 'x') + "a");
+  }
+  for (const std::string& a : texts) {
+    const Value va = Value::Str(a);
+    EXPECT_EQ(va.AsStr(), a);
+    const Value copy = va;
+    const Value decoded = ValueFromText(ValueToText(va));
+    EXPECT_EQ(copy, va);
+    EXPECT_EQ(decoded, va);
+    EXPECT_EQ(decoded.Hash(), va.Hash());
+    EXPECT_EQ(va.Hash(), Value::Str(std::string(a)).Hash());
+    EXPECT_EQ(va.ToString(), "\"" + a + "\"");
+    for (const std::string& b : texts) {
+      const int want = a.compare(b);
+      const int got = Value::Compare(va, Value::Str(b));
+      EXPECT_EQ(got < 0, want < 0) << a << " vs " << b;
+      EXPECT_EQ(got == 0, want == 0) << a << " vs " << b;
+    }
+  }
+}
+
+TEST(ValueTest, RefsOrderByClassNameNotInternOrder) {
+  const ClassId zeta = InternClassName("ZetaRefOrder");
+  const ClassId alpha = InternClassName("AlphaRefOrder");
+  ASSERT_LT(zeta, alpha);  // interned first
+  EXPECT_LT(Value::MakeRef("AlphaRefOrder", 9), Value::MakeRef("ZetaRefOrder", 0));
+  EXPECT_LT(Value::MakeRef(alpha, 1), Value::MakeRef(alpha, 2));
+  EXPECT_EQ(Value::MakeRef("AlphaRefOrder", 4), Value::MakeRef(alpha, 4));
+  EXPECT_EQ(Value::MakeRef("AlphaRefOrder", 4).Hash(), Value::MakeRef(alpha, 4).Hash());
+  EXPECT_EQ(Value::MakeRef(zeta, 3).AsRef().class_name(), "ZetaRefOrder");
+  EXPECT_EQ(InternClassName("ZetaRefOrder"), zeta);
+}
+
+TEST(ValueTest, TuplesOnDistinctShapesCompareByNames) {
+  Value a = Value::Tuple({{"x", Value::Int(1)}, {"y", Value::Str("s")}});
+  Value b = Value::Tuple({{"x", Value::Real(1.0)}, {"y", Value::Str("s")}});
+  ASSERT_NE(&a.AsTuple().shape(), &b.AsTuple().shape());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  Value* out;
+  Value c = Value::NewTuple(a.AsTuple().shape_ptr(), &out);
+  out[0] = Value::Int(1);
+  out[1] = Value::Str("s");
+  EXPECT_EQ(&c.AsTuple().shape(), &a.AsTuple().shape());
+  EXPECT_EQ(c, b);
+  EXPECT_EQ(c.Hash(), b.Hash());
+  Value renamed = Value::Tuple({{"x", Value::Int(1)}, {"z", Value::Str("s")}});
+  EXPECT_NE(a, renamed);
+  EXPECT_LT(a, renamed);  // "y" < "z"
+  EXPECT_NE(a, Value::Tuple({{"x", Value::Int(1)}}));
+}
+
+// One value of every kind, with out-of-line payloads where the kind has one.
+std::vector<Value> OneOfEachKind() {
+  return {Value::Null(), Value::Bool(true), Value::Int(-5), Value::Real(2.5),
+          Value::Str("inline"), Value::Str("an out-of-line string payload"),
+          Value::Tuple({{"a", Value::Str("a long field value, out of line")}}),
+          Value::Set({Value::Int(2), Value::Int(1)}),
+          Value::Bag({Value::Str("b"), Value::Str("b")}),
+          Value::List({Value::Tuple({{"n", Value::Int(1)}})}),
+          Value::MakeRef("CopyKindsClass", 7)};
+}
+
+TEST(ValueTest, CopyMoveAndSelfAssignmentForEveryKind) {
+  for (const Value& v : OneOfEachKind()) {
+    const std::string text = ValueToText(v);
+    Value copy(v);
+    EXPECT_EQ(ValueToText(copy), text);
+    Value assigned;
+    assigned = v;
+    EXPECT_EQ(ValueToText(assigned), text);
+    Value moved(std::move(copy));
+    EXPECT_EQ(ValueToText(moved), text);
+    EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+    Value move_assigned = Value::Str("to be replaced by a moved value");
+    move_assigned = std::move(moved);
+    EXPECT_EQ(ValueToText(move_assigned), text);
+    Value& self = move_assigned;
+    move_assigned = self;
+    EXPECT_EQ(ValueToText(move_assigned), text);
+    move_assigned = std::move(self);
+    EXPECT_EQ(ValueToText(move_assigned), text);
+    assigned = Value::Int(1);  // overwrite drops the shared payload
+    EXPECT_EQ(ValueToText(v), text);
+  }
+}
+
+TEST(ValueTest, SharedPayloadsSurviveConcurrentCopies) {
+  // Morsel workers copy and drop the same out-of-line payloads at once;
+  // the intrusive count must neither free early nor leak (the ASan job
+  // runs this with leak detection on, the TSan job with race detection).
+  const std::vector<Value> shared = OneOfEachKind();
+  std::vector<std::string> texts;
+  for (const Value& v : shared) texts.push_back(ValueToText(v));
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([&shared] {
+      for (int round = 0; round < 2000; ++round) {
+        std::vector<Value> mine(shared.begin(), shared.end());
+        Value nested = Value::List(mine);
+        Value again = nested;
+        mine.clear();
+        nested = Value();
+        EXPECT_EQ(again.AsElems().size(), shared.size());
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  for (size_t i = 0; i < shared.size(); ++i) {
+    EXPECT_EQ(ValueToText(shared[i]), texts[i]);
+  }
+}
+
+TEST(ValueTest, EstimateCountsOutOfLinePayloadsOnly) {
+  EXPECT_EQ(EstimateValueBytes(Value::Int(1)), sizeof(Value));
+  EXPECT_EQ(EstimateValueBytes(Value::Str("fourteen bytes")), sizeof(Value));
+  EXPECT_GT(EstimateValueBytes(Value::Str("fifteen bytes!!")), sizeof(Value) + 15);
+  const Value list = Value::List({Value::Int(1), Value::Int(2)});
+  EXPECT_GT(EstimateValueBytes(list), 3 * sizeof(Value));
 }
 
 }  // namespace

@@ -132,7 +132,7 @@ TEST(DatabaseTest, InsertAndDeref) {
   EXPECT_EQ(db.Extent("Persons").size(), 1u);
   EXPECT_THROW(db.Insert("Nope", Value::Tuple({})), TypeError);
   EXPECT_THROW(db.Insert("Person", Value::Int(3)), EvalError);
-  EXPECT_THROW(db.Deref(Ref{"Person", 99}), EvalError);
+  EXPECT_THROW(db.Deref(Ref{InternClassName("Person"), 99}), EvalError);
   EXPECT_THROW(db.Extent("Nope"), TypeError);
 }
 
